@@ -14,7 +14,9 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 from . import lp
+from .arrangement import _rank_int
 from .core import (
+    MAX_GROUND,
     OrderError,
     ParseError,
     TermOrder,
@@ -23,7 +25,7 @@ from .core import (
     parse_subset,
     require_valid,
 )
-from .coherence import subset_sum
+from .coherence import _difference_rows, subset_sum
 
 
 @dataclass(frozen=True)
@@ -39,8 +41,8 @@ class PartialTermOrder:
     level: tuple[int, ...]
 
     def __post_init__(self):
-        if not 0 <= self.n <= 16:
-            raise OrderError(f"n must be in 0..16, got {self.n}")
+        if not 0 <= self.n <= MAX_GROUND:
+            raise OrderError(f"n must be in 0..{MAX_GROUND}, got {self.n}")
         size = 1 << self.n
         if len(self.level) != size:
             raise OrderError(
@@ -221,58 +223,49 @@ def find_partial_weight(order: PartialTermOrder):
     return tuple(w)
 
 
+def _cone_is_zero(rows: list[list[int]], n: int) -> bool:
+    """Whether {w in R^n : row.w >= 0 for every row} is {0}.
+
+    It is exactly when the rows positively span R^n, and by Davis (1954)
+    that holds iff they have rank n and some lam >= 1 has lam.rows = 0.
+    Writing lam = 1 + mu, the second condition is the feasibility of
+    sum_j mu_j row_j = -sum_j row_j with mu >= 0, an LP with n rows.
+    """
+    if _rank_int(rows) < n:
+        return False
+    target = [-sum(row[i] for row in rows) for i in range(n)]
+    status, _, _ = lp.maximize_dual(rows, [0] * len(rows), target)
+    return status == "optimal"
+
+
 def coherent_above_only_trivial(order: TermOrder) -> bool:
     """Whether the trivial partition is the only coherent coarsening.
 
     Relaxing every consecutive comparison of the order to a weak
     inequality gives a cone of weight vectors; any nonzero point of it
     induces a nontrivial coherent partial order refined by the order.  The
-    cone is tested for being {0} with 2n exact LPs maximizing each signed
-    coordinate over its intersection with a box.
+    cone is {0} iff the difference rows positively span R^n (Davis 1954),
+    tested by a rank and one feasibility LP with n rows.
     """
     require_valid(order)
-    chain = order.chain
-    n = order.n
-    rows = []
-    for a, b in zip(chain, chain[1:]):
-        rows.append([(b >> i & 1) - (a >> i & 1) for i in range(n)])
-    rhs = [0] * len(rows)
-    box_rows = []
-    box_rhs = []
-    for i in range(n):
-        row = [0] * n
-        row[i] = 1
-        box_rows.append(row)
-        box_rhs.append(-1)
-        box_rows.append([-v for v in row])
-        box_rhs.append(-1)
-    A = rows + box_rows
-    b = rhs + box_rhs
-    for i in range(n):
-        for sign in (1, -1):
-            c = [0] * n
-            c[i] = -sign  # maximize sign * w_i
-            status, _, obj = lp.minimize_ge(A, b, c)
-            assert status == "optimal"
-            if obj < 0:
-                return False
-    return True
+    return _cone_is_zero(_difference_rows(order), order.n)
 
 
 def coherent_coarsenings_nontrivial(order: TermOrder) -> list[PartialTermOrder]:
     """Nontrivial coherent partial orders refined by the order.
 
-    Enumerated from the vertices of the relaxed weight cone is overkill at
-    this scale; instead each maximal one comes from a nonzero cone point
-    found while maximizing the signed coordinates.  Returned without
-    duplicates, possibly empty.
+    Empty when the relaxed weight cone is {0}, decided by positive
+    spanning as in :func:`coherent_above_only_trivial`.  Otherwise,
+    enumerating the vertices of the cone is overkill at this scale;
+    instead each one comes from the nonzero cone point reached while
+    maximizing a signed coordinate over the cone cut by the box
+    -1 <= w <= 1.  Returned without duplicates.
     """
     require_valid(order)
-    chain = order.chain
     n = order.n
-    rows = []
-    for a, b in zip(chain, chain[1:]):
-        rows.append([(b >> i & 1) - (a >> i & 1) for i in range(n)])
+    rows = _difference_rows(order)
+    if _cone_is_zero(rows, n):
+        return []
     box_rows = []
     box_rhs = []
     for i in range(n):

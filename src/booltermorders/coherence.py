@@ -111,37 +111,35 @@ def _constraints(order: TermOrder) -> tuple[list[list[int]], list[int]]:
 def _to_integer_weights(w: list[Fraction]) -> tuple[int, ...]:
     denom = reduce(math.lcm, (v.denominator for v in w), 1)
     ints = [int(v * denom) for v in w]
-    g = reduce(math.gcd, ints)
+    g = reduce(math.gcd, ints, 0)
     return tuple(v // g for v in ints)
 
 
-def find_weight(order: TermOrder, normalize: bool = True):
+def find_weight(order: TermOrder):
     """A positive integer weight vector inducing the order, or None.
 
-    With ``normalize`` the rational solution is the lexicographic minimum
-    of the feasible region (found by minimizing each coordinate in turn),
-    so outputs are reproducible; the result is scaled to coprime integers.
+    Feasibility is decided by the Farkas dual, as in :func:`is_coherent`.
+    The result is the lexicographic minimum of the feasible region, scaled
+    to coprime integers, so outputs are reproducible.  By strong duality
+    each coordinate's minimum, with the earlier ones pinned, is a dual
+    optimum (n rows); a pin w_i = opt is a pair of opposite rows, that is a
+    free dual column.  The minimum is the vector of these optima, so no
+    primal program is solved.
     """
     require_valid(order)
     n = order.n
     rows, rhs = _constraints(order)
-    w = lp.feasible_ge(rows, rhs)
-    if w is None:
+    if lp.farkas_ge(rows, rhs) is not None:
         return None
-    if normalize:
-        for i in range(n):
-            obj = [0] * n
-            obj[i] = 1
-            status, x, opt = lp.minimize_ge(rows, rhs, obj)
-            assert status == "optimal"
-            w = x
-            # pin the coordinate before minimizing the next one
-            pin_pos = [0] * n
-            pin_pos[i] = 1
-            pin_neg = [0] * n
-            pin_neg[i] = -1
-            rows = rows + [pin_pos, pin_neg]
-            rhs = rhs + [opt, -opt]
+    w = []
+    for i in range(n):
+        unit = [0] * n
+        unit[i] = 1
+        status, _, opt = lp.maximize_dual(rows, rhs, unit)
+        assert status == "optimal"
+        w.append(opt)
+        rows = rows + [unit, [-v for v in unit]]
+        rhs = rhs + [opt, -opt]
     weights = _to_integer_weights(w)
     check = order_from_weight(weights, n)
     if check != order:
@@ -216,15 +214,8 @@ def is_coherent(order: TermOrder) -> bool:
     The dual system has only n + 1 equality rows versus the primal's
     2^n - 1 + n, so it is much faster to solve; by Farkas' lemma exactly
     one of the two systems is feasible, and both are solved in exact
-    rational arithmetic.
+    rational arithmetic.  The empty order (n = 0) is coherent.
     """
     require_valid(order)
     rows, rhs = _constraints(order)
     return lp.farkas_ge(rows, rhs) is None
-
-
-def count_coherent(n: int) -> int:
-    """Number of relabeling classes of coherent orders on [n]."""
-    from .enumeration import enumerate_orders
-
-    return sum(1 for o in enumerate_orders(n, mode="canonical") if is_coherent(o))

@@ -188,9 +188,7 @@ def is_valid(order: TermOrder) -> bool:
     if sorted(rank) != list(range(size)) or rank[0] != 0:
         return False
     chain = order.chain
-    full = size - 1
     for gamma in range(1, size):
-        comp = full & ~gamma
         prev = -1
         for mask in chain:
             if mask & gamma:

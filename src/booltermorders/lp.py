@@ -2,7 +2,10 @@
 
 Everything runs over :class:`fractions.Fraction`; no floating point enters
 any decision.  Problems here are tiny (tens of rows and columns), so a
-dense tableau is plenty.
+dense tableau is plenty.  Programs ``A x >= b`` with n unknowns and up to
+2^n rows are solved on the dual side (:func:`maximize_dual`, one tableau
+row per unknown); :func:`minimize_ge` is the primal encoder, for callers
+that need a particular optimal vertex.
 """
 
 from __future__ import annotations
@@ -37,7 +40,7 @@ def _simplex(tab, basis, cost):
     ``cost`` is the objective row over the structural columns.
     """
     m = len(tab)
-    width = len(tab[0]) - 1
+    width = len(cost)
     # reduced-cost row, updated with each pivot
     red = [Fraction(v) for v in cost] + [ZERO]
     for r in range(m):
@@ -120,23 +123,24 @@ def solve_eq(
 
 
 def feasible_ge(A: Sequence[Sequence[int]], b: Sequence[int]):
-    """A point x (free variables) with A x >= b, or None.
+    """A point x with A x >= b (:func:`minimize_ge`'s, for cost 0), or None."""
+    n = len(A[0]) if A else 0
+    return minimize_ge(A, b, [0] * n)[1]
 
-    Encoded as A(u - v) - s = b with u, v, s >= 0.
+
+def maximize_dual(
+    A: Sequence[Sequence[int]],
+    b: Sequence[Fraction],
+    c: Sequence[int],
+):
+    """max b.y subject to y.A = c, y >= 0: the dual of min c.x over A x >= b.
+
+    Returns (status, y, objective); by strong duality an optimal objective
+    equals the primal minimum.
     """
-    m = len(A)
-    n = len(A[0])
-    rows = []
-    for i in range(m):
-        a = [Fraction(v) for v in A[i]]
-        neg = [-v for v in a]
-        slack = [ZERO] * m
-        slack[i] = -ONE
-        rows.append(a + neg + slack)
-    status, x, _ = solve_eq(rows, [Fraction(v) for v in b], [ZERO] * (2 * n + m))
-    if status != "optimal":
-        return None
-    return [x[i] - x[n + i] for i in range(n)]
+    rows = [[a[j] for a in A] for j in range(len(c))]
+    status, y, obj = solve_eq(rows, c, [-v for v in b])
+    return status, y, None if obj is None else -obj
 
 
 def farkas_ge(A: Sequence[Sequence[int]], b: Sequence[int]):
@@ -145,15 +149,10 @@ def farkas_ge(A: Sequence[Sequence[int]], b: Sequence[int]):
     By Farkas' lemma exactly one of this system and ``A x >= b`` is
     solvable, so this is the dual route to :func:`feasible_ge`.
     """
-    m = len(A)
-    n = len(A[0])
-    rows = [[Fraction(A[i][j]) for i in range(m)] for j in range(n)]
-    rows.append([Fraction(v) for v in b])
-    rhs = [ZERO] * n + [ONE]
-    status, lam, _ = solve_eq(rows, rhs, [ZERO] * m)
-    if status != "optimal":
-        return None
-    return lam
+    n = len(A[0]) if A else 0
+    extended = [list(a) + [beta] for a, beta in zip(A, b)]
+    status, lam, _ = maximize_dual(extended, [0] * len(A), [0] * n + [1])
+    return lam if status == "optimal" else None
 
 
 def minimize_ge(
@@ -166,7 +165,7 @@ def minimize_ge(
     Returns (status, x, objective).
     """
     m = len(A)
-    n = len(A[0])
+    n = len(c)
     rows = []
     for i in range(m):
         a = [Fraction(v) for v in A[i]]

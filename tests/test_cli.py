@@ -65,6 +65,14 @@ def test_coherence_coherent(capsys, tmp_path):
     assert out.startswith("coherent w=(")
 
 
+def test_coherence_empty_order(capsys, tmp_path):
+    path = tmp_path / "empty.bto"
+    path.write_text("n=0\n-\n")
+    code, out, _ = run(capsys, "coherence", str(path))
+    assert code == 0
+    assert out == "coherent w=()\n"
+
+
 def test_realize_roundtrip(capsys, tmp_path):
     code, out, _ = run(capsys, "realize", "--w", "1,2,4")
     assert code == 0

@@ -2,9 +2,11 @@ from fractions import Fraction
 
 import pytest
 
+from booltermorders.baues import coherent_above_only_trivial
 from booltermorders.catalog import (
     coherence_isolated_six,
     coherence_isolated_six_certificate,
+    five_facet_four,
     noncoherent_five,
     noncoherent_five_certificate,
 )
@@ -18,7 +20,7 @@ from booltermorders.coherence import (
     order_from_weight,
     verify_certificate,
 )
-from booltermorders.core import DisjointPair
+from booltermorders.core import DisjointPair, parse_order
 from booltermorders.enumeration import enumerate_orders
 from booltermorders import lp
 
@@ -43,6 +45,48 @@ def test_find_weight_roundtrip():
 def test_find_weight_deterministic():
     order = order_from_weight((7, 10, 16, 20, 22), 5)
     assert find_weight(order) == find_weight(order)
+
+
+# find_weight on every canonical class for n <= 4, keyed by chain.  The
+# lexicographic minimum of the weight polytope is unique, so every exact
+# way of computing it must give these vectors.
+PINNED_WEIGHTS = {
+    (0, 1): (1,),
+    (0, 1, 2, 3): (1, 2),
+    (0, 1, 2, 3, 4, 5, 6, 7): (1, 2, 4),
+    (0, 1, 2, 4, 3, 5, 6, 7): (2, 3, 4),
+    (0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15): (1, 2, 4, 8),
+    (0, 1, 2, 3, 4, 5, 6, 8, 7, 9, 10, 11, 12, 13, 14, 15): (2, 3, 6, 10),
+    (0, 1, 2, 3, 4, 5, 8, 6, 9, 7, 10, 11, 12, 13, 14, 15): (2, 4, 7, 10),
+    (0, 1, 2, 3, 4, 5, 8, 9, 6, 7, 10, 11, 12, 13, 14, 15): (1, 4, 6, 8),
+    (0, 1, 2, 3, 4, 8, 5, 6, 9, 10, 7, 11, 12, 13, 14, 15): (3, 4, 8, 10),
+    (0, 1, 2, 3, 4, 8, 5, 9, 6, 10, 7, 11, 12, 13, 14, 15): (2, 4, 7, 8),
+    (0, 1, 2, 4, 3, 5, 6, 7, 8, 9, 10, 12, 11, 13, 14, 15): (2, 3, 4, 10),
+    (0, 1, 2, 4, 3, 5, 6, 8, 7, 9, 10, 12, 11, 13, 14, 15): (2, 3, 4, 8),
+    (0, 1, 2, 4, 3, 5, 8, 6, 9, 7, 10, 12, 11, 13, 14, 15): (2, 4, 5, 8),
+    (0, 1, 2, 4, 3, 5, 8, 9, 6, 7, 10, 12, 11, 13, 14, 15): (2, 6, 7, 10),
+    (0, 1, 2, 4, 3, 8, 5, 6, 9, 10, 7, 12, 11, 13, 14, 15): (3, 4, 6, 8),
+    (0, 1, 2, 4, 3, 8, 5, 9, 6, 10, 7, 12, 11, 13, 14, 15): (3, 6, 8, 10),
+    (0, 1, 2, 4, 8, 3, 5, 6, 9, 10, 12, 7, 11, 13, 14, 15): (4, 5, 6, 8),
+    (0, 1, 2, 4, 8, 3, 5, 9, 6, 10, 12, 7, 11, 13, 14, 15): (3, 5, 6, 7),
+}
+
+
+def test_find_weight_pinned():
+    orders = [o for n in range(1, 5) for o in enumerate_orders(n, mode="canonical")]
+    assert sorted(o.chain for o in orders) == sorted(PINNED_WEIGHTS)
+    for order in orders:
+        assert find_weight(order) == PINNED_WEIGHTS[order.chain]
+    assert find_weight(five_facet_four()) == (2, 3, 4, 8)
+    readme = order_from_weight((7, 10, 16, 20, 22), 5)
+    assert find_weight(readme) == (7, 10, 16, 20, 22)
+
+
+def test_empty_order_is_coherent():
+    order = parse_order("n=0\n-\n")
+    assert is_coherent(order)
+    assert find_weight(order) == ()
+    assert coherent_above_only_trivial(order)
 
 
 def test_noncoherent_example():
