@@ -22,10 +22,14 @@ from .core import (
     TermOrder,
     format_subset,
     full_mask,
-    parse_subset,
+    read_levels,
     require_valid,
 )
-from .coherence import _difference_rows, subset_sum
+from .coherence import _difference_rows, _lex_min_weight, subset_sum
+
+
+class PartialOrderError(ParseError, OrderError):
+    """A well-formed order file whose levels break the order axioms."""
 
 
 @dataclass(frozen=True)
@@ -105,16 +109,15 @@ class PartialValidationReport:
         return self.ok
 
 
-def validate_partial(order: PartialTermOrder, full: bool = False) -> PartialValidationReport:
+def validate_partial(order: PartialTermOrder) -> PartialValidationReport:
     """Check disjoint-union compatibility of the level map.
 
     For disjoint alpha, beta, gamma the comparison of alpha and beta must
-    equal that of alpha + gamma and beta + gamma.  With ``full`` every
-    violating triple is collected, otherwise the first stops the scan.
+    equal that of alpha + gamma and beta + gamma.  The first violating
+    triple found is reported.
     """
     level = order.level
     fm = full_mask(order.n)
-    violations = []
     for a in range(fm + 1):
         rest = fm & ~a
         b = rest
@@ -127,12 +130,10 @@ def validate_partial(order: PartialTermOrder, full: bool = False) -> PartialVali
             while g:
                 la, lb = level[a | g], level[b | g]
                 if (la > lb) - (la < lb) != base:
-                    violations.append((a, b, g))
-                    if not full:
-                        return PartialValidationReport(False, violations)
+                    return PartialValidationReport(False, [(a, b, g)])
                 g = (g - 1) & free
             b = (b - 1) & rest
-    return PartialValidationReport(not violations, violations)
+    return PartialValidationReport(True)
 
 
 def validate_partial_quadruples(order: PartialTermOrder) -> PartialValidationReport:
@@ -184,43 +185,16 @@ def is_coherent_partial(order: PartialTermOrder) -> bool:
 
 
 def find_partial_weight(order: PartialTermOrder):
-    """A weight vector inducing the partial order, or None.
+    """A positive integer weight vector inducing the partial order, or None.
 
-    Strict level steps become strict inequalities, ties become equalities
-    (encoded as opposite pairs of weak inequalities).
+    The lexicographic minimum of the weight program, found as for a total
+    order by :func:`coherence.find_weight`: strict level steps are rows
+    >= 1, ties are pairs of opposite rows >= 0.
     """
-    levels = order.levels
-    rows = []
-    rhs = []
-    n = order.n
-
-    def diff(lo, hi):
-        return [
-            (hi >> i & 1) - (lo >> i & 1) for i in range(n)
-        ]
-
-    for group in levels:
-        rep = group[0]
-        for other in group[1:]:
-            d = diff(rep, other)
-            rows.append(d)
-            rhs.append(0)
-            rows.append([-v for v in d])
-            rhs.append(0)
-    for lower, upper in zip(levels, levels[1:]):
-        rows.append(diff(lower[0], upper[0]))
-        rhs.append(1)
-    for i in range(n):
-        row = [0] * n
-        row[i] = 1
-        rows.append(row)
-        rhs.append(1)
-    w = lp.feasible_ge(rows, rhs)
-    if w is None:
-        return None
-    induced = PartialTermOrder.from_weight(w)
-    assert induced.level == order.level
-    return tuple(w)
+    weights = _lex_min_weight(order)
+    if weights is not None and PartialTermOrder.from_weight(weights).level != order.level:
+        raise AssertionError("LP produced a weight vector that does not induce the levels")
+    return weights
 
 
 def _cone_is_zero(rows: list[list[int]], n: int) -> bool:
@@ -303,46 +277,25 @@ def serialize_partial(order: PartialTermOrder) -> str:
 
 
 def parse_partial(text: str) -> PartialTermOrder:
-    """Inverse of :func:`serialize_partial`; validates the result."""
-    n = None
-    raw_groups: list[tuple[int, list[str]]] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if line.startswith("n="):
-            if n is not None:
-                raise ParseError("duplicate n= header", lineno)
-            try:
-                n = int(line[2:])
-            except ValueError:
-                raise ParseError(f"bad header {line!r}", lineno) from None
-            continue
-        raw_groups.append((lineno, [p.strip() for p in line.split("=")]))
-    if n is None:
-        n = max(
-            (int(e) for _, parts in raw_groups for p in parts if p != "-"
-             for e in p.split(",")),
-            default=0,
-        )
-    size = 1 << n
-    total = sum(len(parts) for _, parts in raw_groups)
-    if total != size:
-        raise ParseError(f"expected {size} subsets, got {total}")
-    level = [None] * size
-    for lvl, (lineno, parts) in enumerate(raw_groups):
-        for part in parts:
-            mask = parse_subset(part, n, lineno)
-            if level[mask] is not None:
-                raise ParseError(f"subset {part!r} listed twice", lineno)
+    """Inverse of :func:`serialize_partial`; the format is :func:`core.read_levels`.
+
+    A malformed file raises :class:`ParseError`; well-formed levels that
+    are not a partial term order raise :class:`PartialOrderError`.
+    """
+    n, levels = read_levels(text)
+    level = [0] * (1 << n)
+    for lvl, group in enumerate(levels):
+        for mask in group:
             level[mask] = lvl
-    order = PartialTermOrder(n, tuple(level))
+    try:
+        order = PartialTermOrder(n, tuple(level))
+    except OrderError as exc:
+        raise PartialOrderError(str(exc)) from None
     report = validate_partial(order)
     if not report:
         a, b, g = report.violations[0]
-        raise ParseError(
-            "not a partial term order: comparison of "
-            f"{format_subset(a)} and {format_subset(b)} changes under "
+        raise PartialOrderError(
+            f"comparison of {format_subset(a)} and {format_subset(b)} changes under "
             f"{format_subset(g)}"
         )
     return order

@@ -1,9 +1,14 @@
 """The ``bto`` command line interface.
 
 One subcommand per library operation, stable text output for scripting.
-Exit codes: 0 for success or a positive answer, 1 when the mathematics
-answers "no" (invalid, incoherent, disconnected, certificate rejected),
-2 for usage or I/O errors.
+Every subcommand keeps one exit-code contract:
+
+- 0: success or a positive answer.
+- 1: the mathematics answers "no": incoherent, disconnected, certificate
+  rejected, or an order file that is well formed but not a valid order,
+  reported as ``invalid: <reason>`` on stdout.
+- 2: usage or I/O errors and malformed files, reported as
+  ``error: <reason>`` on stderr.
 """
 
 from __future__ import annotations
@@ -11,20 +16,19 @@ from __future__ import annotations
 import argparse
 import hashlib
 import math
-import os
 import sys
 from pathlib import Path
 
 from . import arrangement, baues, coherence, flips, omatroid
 from .core import (
+    MAX_GROUND,
     DisjointPair,
-    ParseError,
+    OrderError,
     TermOrder,
-    format_subset,
     parse_order,
     parse_subset,
+    require_valid,
     serialize_order,
-    validate,
 )
 from .enumeration import count_orders, enumerate_orders
 
@@ -44,13 +48,9 @@ def _load_order(path: str) -> TermOrder:
     return parse_order(_read(path))
 
 
-def _load_levels(path: str):
-    """Total or partial order file; totals come back as one-level-per-set."""
-    text = _read(path)
-    try:
-        return baues.parse_partial(text)
-    except ParseError:
-        return baues.PartialTermOrder.from_total(parse_order(text))
+def _load_levels(path: str) -> baues.PartialTermOrder:
+    """Total or partial order file; a total order has one subset per level."""
+    return baues.parse_partial(_read(path))
 
 
 def _parse_pair(text: str, n: int) -> DisjointPair:
@@ -64,13 +64,9 @@ def _parse_pair(text: str, n: int) -> DisjointPair:
     return DisjointPair(left, right)
 
 
-def _format_pair(pair: DisjointPair) -> str:
-    return f"{format_subset(pair.left)} < {format_subset(pair.right)}"
-
-
 def _print_certificate(cert: coherence.Certificate) -> None:
     for pair, mult in zip(cert.pairs, cert.multiplicities):
-        print(f"pair: {_format_pair(pair)} x{mult}")
+        print(f"pair: {pair} x{mult}")
 
 
 def _parse_certificate(text: str, n: int) -> coherence.Certificate:
@@ -92,7 +88,7 @@ def _parse_certificate(text: str, n: int) -> coherence.Certificate:
                 )
             )
             mults.append(int(mult_text))
-        except (ValueError, ParseError) as exc:
+        except ValueError as exc:
             raise UsageError(f"bad certificate line {lineno}: {exc}") from None
     if not pairs:
         raise UsageError("empty certificate file")
@@ -111,25 +107,9 @@ def _weight_list(text: str) -> tuple[int, ...]:
 
 
 def _cmd_validate(args) -> int:
-    if args.partial:
-        try:
-            _ = baues.parse_partial(_read(args.file))
-        except ParseError as exc:
-            print(f"invalid: {exc}")
-            return 1
-        print("valid")
-        return 0
-    order = _load_order(args.file)
-    report = validate(order)
-    if report:
-        print("valid")
-        return 0
-    a, b, g = report.violations[0]
-    print(
-        f"invalid: {format_subset(a)} < {format_subset(b)} but adding "
-        f"{format_subset(g)} reverses the comparison"
-    )
-    return 1
+    _load_levels(args.file)
+    print("valid")
+    return 0
 
 
 def _cmd_enumerate(args) -> int:
@@ -189,6 +169,8 @@ def _cmd_realize(args) -> int:
     weights = _weight_list(args.w)
     if any(v <= 0 for v in weights):
         raise UsageError("weights must be positive")
+    if len(weights) > MAX_GROUND:
+        raise UsageError(f"at most {MAX_GROUND} weights")
     try:
         order = coherence.order_from_weight(weights, len(weights))
     except coherence.TieError as exc:
@@ -205,7 +187,7 @@ def _cmd_flips(args) -> int:
     print(f"primitive={len(primitive)} flippable={len(flippable)}")
     for pair in primitive:
         mark = " *" if pair in flippable else ""
-        print(f"{_format_pair(pair)}{mark}")
+        print(f"{pair}{mark}")
     return 0
 
 
@@ -294,6 +276,7 @@ def _cmd_baues(args) -> int:
 
 def _cmd_certify(args) -> int:
     order = _load_order(args.file)
+    require_valid(order)
     cert = _parse_certificate(_read(args.cert), order.n)
     check = coherence.verify_certificate(order, cert)
     if check:
@@ -307,17 +290,10 @@ def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="bto", description="Boolean term order toolkit"
     )
-    parser.add_argument(
-        "--threads",
-        type=int,
-        default=os.cpu_count() or 1,
-        help="worker threads (answers are thread-count independent)",
-    )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("validate", help="check an order file")
+    p = sub.add_parser("validate", help="check a total or partial order file")
     p.add_argument("file")
-    p.add_argument("--partial", action="store_true", help="treat input as a partial order")
     p.set_defaults(func=_cmd_validate)
 
     p = sub.add_parser("enumerate", help="enumerate orders on [n]")
@@ -377,23 +353,19 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("certify", help="verify a noncoherence certificate")
     p.add_argument("file")
     p.add_argument("--cert", required=True, help="certificate file")
-    p.add_argument("--verify", action="store_true", help="accepted for symmetry; always on")
     p.set_defaults(func=_cmd_certify)
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-    if args.threads < 1:
-        parser.error("--threads must be at least 1")
+    args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (UsageError, ParseError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except OrderError as exc:  # before ValueError, its base class
+        print(f"invalid: {exc}")
+        return 1
+    except (UsageError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

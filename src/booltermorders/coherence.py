@@ -19,7 +19,6 @@ from typing import Sequence
 from . import lp
 from .core import (
     DisjointPair,
-    OrderError,
     TermOrder,
     format_subset,
     reduced_pair,
@@ -88,24 +87,41 @@ def order_from_weight(w: Sequence, n: int) -> TermOrder:
     return TermOrder.from_chain(n, [mask for _, mask in sums])
 
 
-def _difference_rows(order: TermOrder) -> list[list[int]]:
-    """Indicator differences of the consecutive pairs of the order."""
-    n = order.n
-    rows = []
-    for a, b in zip(order.chain, order.chain[1:]):
-        rows.append([((b >> i) & 1) - ((a >> i) & 1) for i in range(n)])
-    return rows
+def _indicator_difference(a: int, b: int, n: int) -> list[int]:
+    return [((b >> i) & 1) - ((a >> i) & 1) for i in range(n)]
 
 
-def _constraints(order: TermOrder) -> tuple[list[list[int]], list[int]]:
-    # consecutive-pair rows plus w_i >= 1; transitivity supplies the rest
+def _difference_rows(order) -> list[list[int]]:
+    """Indicator differences between consecutive levels, first subset of each.
+
+    ``order`` is a :class:`TermOrder` (one subset per level) or a partial
+    order with ``levels``.
+    """
+    firsts = [group[0] for group in order.levels]
+    return [_indicator_difference(a, b, order.n) for a, b in zip(firsts, firsts[1:])]
+
+
+def _constraints(order) -> tuple[list[list[int]], list[int]]:
+    """The weight program A w >= b of a total or partial order.
+
+    Rows in order: a step row >= 1 per pair of consecutive levels, then
+    w_i >= 1, then each tie with its level's first subset as a pair of
+    opposite rows >= 0.  Transitivity supplies the other comparisons, so
+    the solutions are the weights inducing exactly the order's levels.
+    """
     n = order.n
     rows = _difference_rows(order)
     for i in range(n):
         unit = [0] * n
         unit[i] = 1
         rows.append(unit)
-    return rows, [1] * len(rows)
+    rhs = [1] * len(rows)
+    for group in order.levels:
+        for other in group[1:]:
+            tie = _indicator_difference(group[0], other, n)
+            rows += [tie, [-v for v in tie]]
+            rhs += [0, 0]
+    return rows, rhs
 
 
 def _to_integer_weights(w: list[Fraction]) -> tuple[int, ...]:
@@ -115,18 +131,15 @@ def _to_integer_weights(w: list[Fraction]) -> tuple[int, ...]:
     return tuple(v // g for v in ints)
 
 
-def find_weight(order: TermOrder):
-    """A positive integer weight vector inducing the order, or None.
+def _lex_min_weight(order):
+    """The lex-min solution of :func:`_constraints` as coprime integers, or None.
 
     Feasibility is decided by the Farkas dual, as in :func:`is_coherent`.
-    The result is the lexicographic minimum of the feasible region, scaled
-    to coprime integers, so outputs are reproducible.  By strong duality
-    each coordinate's minimum, with the earlier ones pinned, is a dual
-    optimum (n rows); a pin w_i = opt is a pair of opposite rows, that is a
-    free dual column.  The minimum is the vector of these optima, so no
-    primal program is solved.
+    By strong duality each coordinate's minimum, with the earlier ones
+    pinned, is a dual optimum (n rows); a pin w_i = opt is a pair of
+    opposite rows, that is a free dual column.  The minimum is the vector
+    of these optima, so no primal program is solved.
     """
-    require_valid(order)
     n = order.n
     rows, rhs = _constraints(order)
     if lp.farkas_ge(rows, rhs) is not None:
@@ -140,9 +153,18 @@ def find_weight(order: TermOrder):
         w.append(opt)
         rows = rows + [unit, [-v for v in unit]]
         rhs = rhs + [opt, -opt]
-    weights = _to_integer_weights(w)
-    check = order_from_weight(weights, n)
-    if check != order:
+    return _to_integer_weights(w)
+
+
+def find_weight(order: TermOrder):
+    """A positive integer weight vector inducing the order, or None.
+
+    The result is the lexicographic minimum of the feasible region, scaled
+    to coprime integers, so outputs are reproducible.
+    """
+    require_valid(order)
+    weights = _lex_min_weight(order)
+    if weights is not None and order_from_weight(weights, order.n) != order:
         raise AssertionError("LP produced a weight vector that does not induce the order")
     return weights
 
@@ -193,7 +215,7 @@ class CertificateCheck:
 
 
 def verify_certificate(order: TermOrder, cert: Certificate) -> CertificateCheck:
-    """Check both certificate invariants against the order."""
+    """Check both certificate invariants against the order, assumed valid."""
     n = order.n
     counts = [0] * n
     for pair, mult in zip(cert.pairs, cert.multiplicities):

@@ -167,6 +167,11 @@ class TermOrder:
             inv[r] = mask
         return tuple(inv)
 
+    @property
+    def levels(self) -> list[list[int]]:
+        """The chain as one-subset levels, as in a partial order."""
+        return [[mask] for mask in self.chain]
+
     def precedes(self, a: int, b: int) -> bool:
         return self.rank[a] < self.rank[b]
 
@@ -301,50 +306,68 @@ def canonicalize_brute_force(order: TermOrder) -> TermOrder:
 # order files
 
 
-def parse_order(text: str) -> TermOrder:
-    """Parse the order-file format.
+def read_levels(text: str) -> tuple[int, list[list[int]]]:
+    """Read an order file, total or partial, into n and its levels.
 
-    Optional header line ``n=<k>``, then 2^k lines of subsets in increasing
-    rank, the empty set written ``-``.  Comments (``#``) and blank lines are
-    ignored.  Without a header, k is the largest element mentioned.
+    ``#`` starts a comment anywhere on a line, and blank lines are skipped.
+    An optional first line ``n=<k>`` gives k; without it, k is the largest
+    element mentioned.  Each further line is one level, lowest first: its
+    subsets joined by ``=``, each a comma list of increasing elements or
+    ``-`` for the empty set.  Every subset of [k] must appear exactly once.
+    Only the format is checked here, not the order axioms.
     """
     lines: list[tuple[int, str]] = []
     for no, raw in enumerate(text.splitlines(), start=1):
-        stripped = raw.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        lines.append((no, stripped))
+        body = raw.partition("#")[0].strip()
+        if body:
+            if lines and body.startswith("n="):
+                raise ParseError("the n= header must be the first line", no)
+            lines.append((no, body))
     if not lines:
         raise ParseError("empty order file")
-    n = None
+    header_no = None
     if lines[0][1].startswith("n="):
-        no, header = lines.pop(0)
+        header_no, header = lines.pop(0)
         try:
             n = int(header[2:])
         except ValueError:
-            raise ParseError(f"bad header {header!r}", no) from None
-        if not 0 <= n <= MAX_GROUND:
-            raise ParseError(f"n={n} out of range 0..{MAX_GROUND}", no)
-    if n is None:
+            raise ParseError(f"bad header {header!r}", header_no) from None
+    else:
         n = 0
         for no, body in lines:
-            if body != "-":
-                for part in body.split(","):
+            for part in body.replace("=", ",").split(","):
+                if part.strip() != "-":
                     try:
                         n = max(n, int(part))
                     except ValueError:
                         raise ParseError(f"bad subset element {part!r}", no) from None
-    if len(lines) != 1 << n:
-        raise ParseError(f"expected {1 << n} subsets, got {len(lines)}")
-    chain = []
+    if not 0 <= n <= MAX_GROUND:
+        raise ParseError(f"n={n} out of range 0..{MAX_GROUND}", header_no)
+    levels = []
     seen = set()
     for no, body in lines:
-        mask = parse_subset(body, n, line=no)
-        if mask in seen:
-            raise ParseError(f"duplicate subset {body!r}", no)
-        seen.add(mask)
-        chain.append(mask)
-    return TermOrder.from_chain(n, chain)
+        group = []
+        for part in body.split("="):
+            mask = parse_subset(part, n, line=no)
+            if mask in seen:
+                raise ParseError(f"duplicate subset {part.strip()!r}", no)
+            seen.add(mask)
+            group.append(mask)
+        levels.append(group)
+    if len(seen) != 1 << n:
+        raise ParseError(f"expected {1 << n} subsets, got {len(seen)}")
+    return n, levels
+
+
+def parse_order(text: str) -> TermOrder:
+    """Parse a total order file (see :func:`read_levels`); ties are an error.
+
+    The axioms are not checked; use :func:`validate` or :func:`is_valid`.
+    """
+    n, levels = read_levels(text)
+    if len(levels) != 1 << n:
+        raise ParseError("subsets joined by '=' in a total order")
+    return TermOrder.from_chain(n, [group[0] for group in levels])
 
 
 def serialize_order(order: TermOrder) -> str:

@@ -21,12 +21,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterator
 
-from .core import (
-    TermOrder,
-    is_valid,
-    require_valid,
-    relabel,
-)
+from .core import TermOrder, is_valid, relabel
 
 MAX_ENUM = 7
 
@@ -44,10 +39,8 @@ class EnumerationResult:
 _BASE_CHAINS = {0: (0,), 1: (0, 1)}
 
 
-def _extension_chains(
-    chain: tuple[int, ...], n: int, canonical_only: bool
-) -> Iterator[tuple[int, ...]]:
-    """Interleavings of chain and chain|{n} that give valid orders on [n].
+def _extension_chains(chain: tuple[int, ...], n: int) -> Iterator[tuple[int, ...]]:
+    """Canonical interleavings of chain and chain|{n}: valid orders on [n].
 
     ``chain`` lists the subsets of [n-1] in order.  The incremental check
     fixes, whenever an element is placed after elements of the other chain,
@@ -61,7 +54,7 @@ def _extension_chains(
     fixed: dict[tuple[int, int], bool] = {(0, 0): True}
     out: list[int] = []
     # canonical extensions keep the singleton {n} after the singleton {n-1}
-    gate = chain.index(1 << (n - 2)) if canonical_only and n >= 2 else -1
+    gate = chain.index(1 << (n - 2)) if n >= 2 else -1
 
     def reduce(a: int, b: int) -> tuple[int, int]:
         common = a & b
@@ -114,29 +107,13 @@ def _extension_chains(
     return place(0, 0)
 
 
-def extend(order: TermOrder, canonical_only: bool = False) -> list[TermOrder]:
-    """All valid orders on [n+1] whose restriction is the given order."""
-    require_valid(order)
-    n = order.n + 1
-    return [
-        TermOrder.from_chain(n, c)
-        for c in _extension_chains(order.chain, n, canonical_only)
-    ]
-
-
-def restrict(order: TermOrder) -> TermOrder:
-    """Delete the top element n and compress ranks."""
-    top = 1 << (order.n - 1)
-    chain = [mask for mask in order.chain if not mask & top]
-    return TermOrder.from_chain(order.n - 1, chain)
-
-
-def _chains(n: int, canonical_only: bool) -> Iterator[tuple[int, ...]]:
+def _chains(n: int) -> Iterator[tuple[int, ...]]:
+    """Chains of the canonical orders on [n]."""
     if n <= 1:
         yield _BASE_CHAINS[n]
         return
-    for chain in _chains(n - 1, canonical_only):
-        yield from _extension_chains(chain, n, canonical_only)
+    for chain in _chains(n - 1):
+        yield from _extension_chains(chain, n)
 
 
 def enumerate_orders(
@@ -148,8 +125,8 @@ def enumerate_orders(
     canonical one); ``mode="all"`` emits every labeling.  With ``verify``
     (default: on for n <= 5) each emitted order passes a full validate.
     """
-    if not 1 <= n <= MAX_ENUM:
-        raise ValueError(f"n must be in 1..{MAX_ENUM}, got {n}")
+    if not 0 <= n <= MAX_ENUM:
+        raise ValueError(f"n must be in 0..{MAX_ENUM}, got {n}")
     if mode not in ("all", "canonical"):
         raise ValueError(f"unknown mode {mode!r}")
     if verify is None:
@@ -159,7 +136,7 @@ def enumerate_orders(
         if mode == "canonical"
         else list(itertools.permutations(range(n)))
     )
-    for chain in _chains(n, canonical_only=True):
+    for chain in _chains(n):
         order = TermOrder.from_chain(n, chain)
         if verify and not is_valid(order):
             raise AssertionError(f"enumeration produced an invalid order: {chain}")
@@ -169,11 +146,11 @@ def enumerate_orders(
 
 def count_orders(n: int) -> EnumerationResult:
     """Class and total counts, streaming with frontier-sized memory."""
-    if not 1 <= n <= MAX_ENUM:
-        raise ValueError(f"n must be in 1..{MAX_ENUM}, got {n}")
+    if not 0 <= n <= MAX_ENUM:
+        raise ValueError(f"n must be in 0..{MAX_ENUM}, got {n}")
     verify = n <= 5
     count = 0
-    for chain in _chains(n, canonical_only=True):
+    for chain in _chains(n):
         if verify and not is_valid(TermOrder.from_chain(n, chain)):
             raise AssertionError(f"enumeration produced an invalid order: {chain}")
         count += 1

@@ -113,7 +113,6 @@ class FlipGraph:
     mode: str
     vertices: list[TermOrder]
     adjacency: list[set[int]]
-    coherent: list[bool] | None = None
 
     def is_connected(self) -> bool:
         if not self.vertices:
@@ -134,32 +133,13 @@ class FlipGraph:
             hist[len(adj)] = hist.get(len(adj), 0) + 1
         return dict(sorted(hist.items()))
 
-    def coherent_subgraph(self) -> "FlipGraph":
-        """Restriction to coherent vertices; degrees count coherent neighbors."""
-        if self.coherent is None:
-            raise ValueError("graph was built without coherence flags")
-        keep = [i for i, c in enumerate(self.coherent) if c]
-        remap = {old: new for new, old in enumerate(keep)}
-        adjacency = [
-            {remap[w] for w in self.adjacency[old] if self.coherent[w]}
-            for old in keep
-        ]
-        return FlipGraph(
-            n=self.n,
-            mode=self.mode,
-            vertices=[self.vertices[i] for i in keep],
-            adjacency=adjacency,
-            coherent=[True] * len(keep),
-        )
 
-
-def flip_graph(n: int, mode: str = "canonical", coherence: bool = False) -> FlipGraph:
+def flip_graph(n: int, mode: str = "canonical") -> FlipGraph:
     """Build the flip graph on all orders on [n].
 
     ``mode="canonical"`` takes one vertex per relabeling class and tests
     edges through canonical forms of flip neighbors; ``mode="labeled"``
-    keeps every labeling.  With ``coherence`` each vertex gets a coherence
-    flag (an exact LP per vertex).
+    keeps every labeling.
     """
     from .enumeration import enumerate_orders
 
@@ -182,12 +162,7 @@ def flip_graph(n: int, mode: str = "canonical", coherence: bool = False) -> Flip
             if j != i:
                 adjacency[i].add(j)
                 adjacency[j].add(i)
-    coherent = None
-    if coherence:
-        from .coherence import is_coherent
-
-        coherent = [is_coherent(o) for o in vertices]
-    return FlipGraph(n=n, mode=mode, vertices=vertices, adjacency=adjacency, coherent=coherent)
+    return FlipGraph(n=n, mode=mode, vertices=vertices, adjacency=adjacency)
 
 
 def flippable_count_histogram(n: int) -> dict[int, int]:

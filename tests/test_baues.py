@@ -17,6 +17,7 @@ from booltermorders.catalog import (
     noncoherent_five,
     rigid_noncoherent_six,
 )
+from booltermorders.coherence import find_weight
 from booltermorders.core import OrderError, ParseError
 from booltermorders.enumeration import enumerate_orders
 
@@ -71,6 +72,13 @@ def test_partial_weight_roundtrip():
     assert w is not None
     assert PartialTermOrder.from_weight(w).level == p.level
     assert is_coherent_partial(p)
+
+
+def test_partial_weight_of_total_orders():
+    # a total order is the all-singleton partial order: same lex-min weight
+    for order in enumerate_orders(4, mode="canonical"):
+        assert find_partial_weight(PartialTermOrder.from_total(order)) == find_weight(order)
+    assert find_partial_weight(PartialTermOrder.from_total(noncoherent_five())) is None
 
 
 def test_rigid_order_cone_is_trivial():

@@ -86,6 +86,12 @@ def test_realize_tie(capsys):
     assert "tie" in err
 
 
+def test_realize_too_many_weights(capsys):
+    code, out, err = run(capsys, "realize", "--w", ",".join(str(2**i) for i in range(17)))
+    assert code == 2 and not out
+    assert err.startswith("error: ")
+
+
 def test_flips_listing(capsys, example_file):
     code, out, _ = run(capsys, "flips", example_file)
     assert code == 0
@@ -121,7 +127,7 @@ def test_certify_valid(capsys, example_file, tmp_path):
     cert.write_text(
         "pair: 4 < 1,2 x1\npair: 2,3 < 1,4 x1\npair: 1,5 < 2,4 x1\npair: 1,2,4 < 3,5 x1\n"
     )
-    code, out, _ = run(capsys, "certify", example_file, "--cert", str(cert), "--verify")
+    code, out, _ = run(capsys, "certify", example_file, "--cert", str(cert))
     assert code == 0
     assert out == "certificate: valid\n"
 
@@ -129,7 +135,7 @@ def test_certify_valid(capsys, example_file, tmp_path):
 def test_certify_invalid(capsys, example_file, tmp_path):
     cert = tmp_path / "cert.bto"
     cert.write_text("pair: 1 < 2 x1\n")
-    code, out, _ = run(capsys, "certify", example_file, "--cert", str(cert), "--verify")
+    code, out, _ = run(capsys, "certify", example_file, "--cert", str(cert))
     assert code == 1
     assert out.startswith("certificate: invalid")
 
@@ -186,7 +192,65 @@ def test_unknown_subcommand():
     assert exc.value.code == 2
 
 
-def test_threads_flag_accepted(capsys):
-    code, out, _ = run(capsys, "--threads", "2", "regions", "--n", "2")
-    assert code == 0
-    assert out == "regions=8\n"
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["validate"],
+        ["coherence"],
+        ["flips"],
+        ["flip", "--pair", "1<2"],
+        ["localize"],
+        ["localize", "--check"],
+        ["baues"],
+        ["baues", "--coherent-above"],
+        ["certify", "--cert", "CERT"],
+    ],
+    ids=" ".join,
+)
+@pytest.mark.parametrize(
+    "text, expected",
+    [("n=2\n-\n1,2\n1\n2\n", 1), ("n=2\n-\n1\n", 2)],
+    ids=["invalid", "malformed"],
+)
+def test_exit_code_contract(capsys, tmp_path, argv, text, expected):
+    # a well-formed invalid order answers "no" (1); a malformed file is an error (2)
+    path = tmp_path / "order.bto"
+    path.write_text(text)
+    cert = tmp_path / "cert.txt"
+    cert.write_text("pair: 1 < 2 x1\n")
+    command, *options = argv
+    options = [str(cert) if o == "CERT" else o for o in options]
+    code, out, err = run(capsys, command, str(path), *options)
+    assert code == expected
+    if expected == 1:
+        assert out.startswith("invalid: ") and not err
+    else:
+        assert err.startswith("error: ") and not out
+
+
+def test_certify_rejects_invalid_order(capsys, tmp_path):
+    # the certificate cancels and is increasing in this invalid order
+    path = tmp_path / "bad3.bto"
+    path.write_text("n=3\n-\n2\n1,2\n3\n1\n1,3\n2,3\n1,2,3\n")
+    cert = tmp_path / "c.txt"
+    cert.write_text("pair: 1,2 < 3 x1\npair: 3 < 1 x1\npair: - < 2 x1\n")
+    code, out, _ = run(capsys, "certify", str(path), "--cert", str(cert))
+    assert code == 1
+    assert out.startswith("invalid: ")
+
+
+def test_validate_reads_partial_orders(capsys, tmp_path):
+    path = tmp_path / "p.bto"
+    path.write_text("n=2\n-\n1=2  # tie\n1,2\n")
+    assert run(capsys, "validate", str(path)) == (0, "valid\n", "")
+    path.write_text("n=2\n-\n1\n2=1,2\n")
+    code, out, _ = run(capsys, "validate", str(path))
+    assert code == 1 and out.startswith("invalid: ")
+
+
+def test_oversized_header_is_an_error(capsys, tmp_path):
+    path = tmp_path / "huge.bto"
+    path.write_text("n=99999999999999999999\n-\n")
+    code, out, err = run(capsys, "baues", str(path))
+    assert code == 2 and not out
+    assert "out of range" in err

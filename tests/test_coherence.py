@@ -12,6 +12,7 @@ from booltermorders.catalog import (
 )
 from booltermorders.coherence import (
     Certificate,
+    _constraints,
     CoherentOrderError,
     TieError,
     find_weight,
@@ -23,6 +24,19 @@ from booltermorders.coherence import (
 from booltermorders.core import DisjointPair, parse_order
 from booltermorders.enumeration import enumerate_orders
 from booltermorders import lp
+
+
+def test_constraints_of_total_orders(canonical_orders):
+    # a total order's program: consecutive steps >= 1, then w_i >= 1, no tie rows
+    for orders in canonical_orders.values():
+        for order in orders:
+            n, chain = order.n, order.chain
+            steps = [
+                [((b >> i) & 1) - ((a >> i) & 1) for i in range(n)]
+                for a, b in zip(chain, chain[1:])
+            ]
+            units = [[int(i == j) for j in range(n)] for i in range(n)]
+            assert _constraints(order) == (steps + units, [1] * (len(chain) - 1 + n))
 
 
 def test_order_from_weight_basic():

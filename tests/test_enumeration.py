@@ -2,7 +2,8 @@ import math
 
 import pytest
 
-from booltermorders.core import canonicalize
+from booltermorders.cli import main
+from booltermorders.core import TermOrder, canonicalize
 from booltermorders.enumeration import (
     brute_force_orders,
     count_orders,
@@ -43,3 +44,12 @@ def test_canonical_mode_emits_canonical_forms():
 def test_unknown_mode():
     with pytest.raises(ValueError):
         list(enumerate_orders(3, mode="bogus"))
+
+
+def test_empty_ground_set(capsys):
+    for mode in ("all", "canonical"):
+        assert list(enumerate_orders(0, mode=mode)) == [TermOrder(0, (0,))]
+    result = count_orders(0)
+    assert (result.class_count, result.total_count) == (1, 1)
+    assert main(["enumerate", "--n", "0", "--count-only"]) == 0
+    assert capsys.readouterr().out == "classes=1 total=1\n"
