@@ -6,6 +6,13 @@ interpolating; an extra prime cross-validates the result, and for n <= 3 an
 independent intersection-lattice Moebius computation must agree.  The
 absolute value at -1 is the region count (Zaslavsky), which for this
 arrangement is 2^n * n! times the number of coherent order classes.
+
+Points are counted up to the symmetries of the arrangement, B_n (permuting
+and negating coordinates) and scaling by F_q^*: the count at an odd prime q
+is 2^n * n! * h * N_1 / n, with h = (q-1)/2 and N_1 the (n-1)-subsets S of
+{2..h} for which {1} u S has pairwise distinct subset sums mod q (see
+:func:`point_count`).  The test suite keeps a direct count over a slab of
+F_q^n as an oracle (``tests/oracles.py``).
 """
 
 from __future__ import annotations
@@ -13,9 +20,11 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import factorial, gcd, isqrt
 
-import numpy as np
+# the largest n for char_poly: n = 7 needs nine primes above 7^(7/2) > 900,
+# far beyond what the point-count search can count
+MAX_CHARPOLY = 6
 
 
 def normals(n: int) -> list[tuple[int, ...]]:
@@ -54,15 +63,13 @@ class CharPoly:
         """(roots with multiplicity, remaining coefficient tuple)."""
         coeffs = list(self.coefficients)
         roots = []
-        candidates = None
         while len(coeffs) > 1:
             const = coeffs[-1]
             if const == 0:
                 roots.append(0)
                 coeffs = coeffs[:-1]
                 continue
-            candidates = [d for d in range(1, abs(const) + 1) if const % d == 0]
-            for cand in candidates:
+            for cand in _divisors(abs(const)):
                 for root in (cand, -cand):
                     value = 0
                     for c in coeffs:
@@ -110,19 +117,29 @@ class CharPoly:
         return "".join(parts) if parts else str(self)
 
 
+def _divisors(c: int) -> list[int]:
+    """Divisors of c > 0, increasing, by trial division up to sqrt(c)."""
+    small = [d for d in range(1, isqrt(c) + 1) if c % d == 0]
+    return small + [c // d for d in reversed(small) if d * d != c]
+
+
 def _is_prime(q: int) -> bool:
     if q < 2:
         return False
-    for d in range(2, int(q**0.5) + 1):
+    for d in range(2, isqrt(q) + 1):
         if q % d == 0:
             return False
     return True
 
 
 def _primes_for(n: int, count: int) -> list[int]:
-    # a valid point needs 2^n distinct residues, so q must exceed 2^n
+    # q must divide no nonzero minor of the {0,+-1} normal matrix, so that the
+    # intersection lattice mod q is the one over Q and the count is chi(q).
+    # A k x k minor is at most k^(k/2) <= n^(n/2) in absolute value (Hadamard).
+    # Below 2^n no point has 2^n distinct sums; 2^n is the larger start for
+    # n <= 4.
     primes = []
-    q = max(2 * n, 1 << n) + 1
+    q = max(1 << n, isqrt(n**n)) + 1
     while len(primes) < count:
         if _is_prime(q):
             primes.append(q)
@@ -130,35 +147,53 @@ def _primes_for(n: int, count: int) -> list[int]:
     return primes
 
 
-def point_count(n: int, q: int, chunk: int = 1 << 18) -> int:
+def point_count(n: int, q: int) -> int:
     """Number of v in F_q^n with all 2^n subset sums pairwise distinct.
 
-    Any valid point has every coordinate nonzero, and scaling by a nonzero
-    field element preserves validity, so only the slab v_1 = 1 is counted
-    and the result multiplied by q - 1.
+    q is an odd prime.  Such a v is a point off every hyperplane, and
+    validity is kept by permuting and negating coordinates.  Writing each
+    nonzero value as +-a with a in {1..h}, h = (q-1)/2, a valid point has
+    n distinct values |v_i|, and validity depends only on the set T of
+    them: 2^n * n! points per valid n-set T.  Scaling by F_q^* keeps
+    validity too, and T = |a T'| matches the pairs (T, a in T) one to one
+    with the pairs (T', a) of a valid set T' containing 1 and a in {1..h}.
+    So n times the number of valid n-sets is h * N_1 (:func:`_rooted_sets`).
+    """
+    h = (q - 1) // 2
+    return (1 << n) * factorial(n) * h * _rooted_sets(n, q) // n
+
+
+def _rooted_sets(n: int, q: int) -> int:
+    """N_1: the (n-1)-subsets S of {2..h} with {1} u S valid mod q.
+
+    A set is valid when its subset sums are pairwise distinct mod q.  With
+    the sums as a q-bit integer, adding x keeps the set valid iff
+    ``sums & rot(sums, x) == 0``, that is iff x is no difference of two
+    subset sums.  The search keeps those differences, {sum e_t t : e in
+    {0,+-1}^T}, as a q-bit integer D instead: the next elements are the
+    zero bits of D above the last element, adding x makes D into
+    D | rot(D, x) | rot(D, -x), and the last element is a popcount.
     """
     if n == 1:
-        return q - 1
-    incidence = np.zeros((n, 1 << n), dtype=np.int64)
-    for mask in range(1 << n):
-        for i in range(n):
-            if mask >> i & 1:
-                incidence[i, mask] = 1
-    total = 0
-    rest = q ** (n - 1)
-    for start in range(0, rest, chunk):
-        stop = min(start + chunk, rest)
-        idx = np.arange(start, stop, dtype=np.int64)
-        coords = np.empty((stop - start, n), dtype=np.int64)
-        coords[:, 0] = 1
-        for i in range(1, n):
-            coords[:, i] = idx % q
-            idx //= q
-        sums = (coords @ incidence) % q
-        sums.sort(axis=1)
-        distinct = (np.diff(sums, axis=1) > 0).all(axis=1)
-        total += int(distinct.sum())
-    return total * (q - 1)
+        return 1
+    full = (1 << q) - 1
+    window = (1 << (q + 1) // 2) - 1  # bits 0..h
+
+    def search(diffs: int, low: int, left: int) -> int:
+        free = window & ~(diffs | (1 << low) - 1)
+        if left == 1:
+            return free.bit_count()
+        total = 0
+        while free:
+            bit = free & -free
+            free ^= bit
+            x = bit.bit_length() - 1
+            up = (diffs << x | diffs >> q - x) & full
+            down = (diffs >> x | diffs << q - x) & full
+            total += search(diffs | up | down, x + 1, left - 1)
+        return total
+
+    return search(1 | 2 | 1 << q - 1, 2, n - 1)
 
 
 def _interpolate(points: list[tuple[int, int]]) -> list[Fraction]:
@@ -187,12 +222,12 @@ def _interpolate(points: list[tuple[int, int]]) -> list[Fraction]:
 def char_poly(n: int) -> CharPoly:
     """Characteristic polynomial via prime-field point counts.
 
-    Counts at the smallest n+2 primes above 2n; the first n+1 interpolate,
-    the last cross-validates.  For n <= 3 the intersection-lattice Moebius
-    computation must agree as well.
+    Counts at the smallest n+2 primes of good reduction (see _primes_for);
+    the first n+1 interpolate, the last cross-validates.  For n <= 3 the
+    intersection-lattice Moebius computation must agree as well.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    if not 1 <= n <= MAX_CHARPOLY:
+        raise ValueError(f"n must be in 1..{MAX_CHARPOLY}, got {n}")
     primes = _primes_for(n, n + 2)
     counts = [point_count(n, q) for q in primes]
     coeffs = _interpolate(list(zip(primes[: n + 1], counts[: n + 1])))

@@ -136,34 +136,6 @@ def validate_partial(order: PartialTermOrder) -> PartialValidationReport:
     return PartialValidationReport(True)
 
 
-def validate_partial_quadruples(order: PartialTermOrder) -> PartialValidationReport:
-    """Equivalent check through same-level splittings.
-
-    Whenever a + c and b + d share a level (or coincide), with a disjoint
-    from c and b disjoint from d, a strict comparison level(b) < level(a)
-    must force level(c) < level(d).  Cross-checks :func:`validate_partial`
-    by an independent route; 16^n splitting pairs, so small n only.
-    """
-    level = order.level
-    fm = full_mask(order.n)
-    splittings = []  # (a, c, a|c) over disjoint pairs
-    for a in range(fm + 1):
-        rest = fm & ~a
-        c = rest
-        while True:
-            splittings.append((a, c, a | c))
-            if c == 0:
-                break
-            c = (c - 1) & rest
-    for a, c, u in splittings:
-        for b, d, v in splittings:
-            if level[u] != level[v] and u != v:
-                continue
-            if level[b] < level[a] and not level[c] < level[d]:
-                return PartialValidationReport(False, [(a, b, c, d)])
-    return PartialValidationReport(True, [])
-
-
 def refines(fine: PartialTermOrder, coarse: PartialTermOrder) -> bool:
     """True when every strict comparison of ``coarse`` holds in ``fine``."""
     if fine.n != coarse.n:
@@ -185,11 +157,12 @@ def is_coherent_partial(order: PartialTermOrder) -> bool:
 
 
 def find_partial_weight(order: PartialTermOrder):
-    """A positive integer weight vector inducing the partial order, or None.
+    """An integer weight vector inducing the partial order, or None.
 
     The lexicographic minimum of the weight program, found as for a total
     order by :func:`coherence.find_weight`: strict level steps are rows
-    >= 1, ties are pairs of opposite rows >= 0.
+    >= 1, ties are pairs of opposite rows >= 0.  The weights are positive
+    except for the one-level order, whose weight is 0.
     """
     weights = _lex_min_weight(order)
     if weights is not None and PartialTermOrder.from_weight(weights).level != order.level:

@@ -105,18 +105,22 @@ def _constraints(order) -> tuple[list[list[int]], list[int]]:
     """The weight program A w >= b of a total or partial order.
 
     Rows in order: a step row >= 1 per pair of consecutive levels, then
-    w_i >= 1, then each tie with its level's first subset as a pair of
-    opposite rows >= 0.  Transitivity supplies the other comparisons, so
-    the solutions are the weights inducing exactly the order's levels.
+    w_i >= 1 when the empty set is alone at the bottom, then each tie with
+    its level's first subset as a pair of opposite rows >= 0.  Transitivity
+    supplies the other comparisons, so the solutions are the weights
+    inducing exactly the order's levels.  The empty set shares a level only
+    in the one-level order, whose ties force w = 0.
     """
     n = order.n
+    levels = order.levels
     rows = _difference_rows(order)
-    for i in range(n):
-        unit = [0] * n
-        unit[i] = 1
-        rows.append(unit)
+    if len(levels[0]) == 1:
+        for i in range(n):
+            unit = [0] * n
+            unit[i] = 1
+            rows.append(unit)
     rhs = [1] * len(rows)
-    for group in order.levels:
+    for group in levels:
         for other in group[1:]:
             tie = _indicator_difference(group[0], other, n)
             rows += [tie, [-v for v in tie]]
@@ -127,7 +131,7 @@ def _constraints(order) -> tuple[list[list[int]], list[int]]:
 def _to_integer_weights(w: list[Fraction]) -> tuple[int, ...]:
     denom = reduce(math.lcm, (v.denominator for v in w), 1)
     ints = [int(v * denom) for v in w]
-    g = reduce(math.gcd, ints, 0)
+    g = reduce(math.gcd, ints, 0) or 1
     return tuple(v // g for v in ints)
 
 

@@ -8,7 +8,6 @@ set required at position 0.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Sequence
 
@@ -290,16 +289,6 @@ def canonicalize(order: TermOrder) -> TermOrder:
 def is_canonical(order: TermOrder) -> bool:
     rank = order.rank
     return all(rank[1 << i] < rank[1 << (i + 1)] for i in range(order.n - 1))
-
-
-def canonicalize_brute_force(order: TermOrder) -> TermOrder:
-    """Reference canonicalization: explicit minimum over all n! relabelings."""
-    best = None
-    for perm in itertools.permutations(range(order.n)):
-        cand = relabel(order, perm).rank
-        if best is None or cand < best:
-            best = cand
-    return TermOrder(order.n, best)
 
 
 # ---------------------------------------------------------------------------

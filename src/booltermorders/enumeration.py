@@ -155,17 +155,3 @@ def count_orders(n: int) -> EnumerationResult:
             raise AssertionError(f"enumeration produced an invalid order: {chain}")
         count += 1
     return EnumerationResult(n=n, class_count=count)
-
-
-def brute_force_orders(n: int) -> list[TermOrder]:
-    """Oracle: filter all orderings of the nonempty subsets by validate.
-
-    Only usable for tiny n (n=3 already means 7! candidates).
-    """
-    size = 1 << n
-    found = []
-    for perm in itertools.permutations(range(1, size)):
-        order = TermOrder.from_chain(n, (0,) + perm)
-        if is_valid(order):
-            found.append(order)
-    return found

@@ -26,7 +26,7 @@ from booltermorders.coherence import (
     verify_certificate,
 )
 from booltermorders.core import DisjointPair, mask_of, validate
-from booltermorders.enumeration import brute_force_orders, enumerate_orders
+from booltermorders.enumeration import enumerate_orders
 from booltermorders.flips import (
     flip,
     flip_graph,
@@ -41,6 +41,7 @@ from booltermorders.omatroid import (
     mu_from_order,
 )
 from booltermorders.baues import coherent_above_only_trivial
+from oracles import brute_force_orders
 
 extended = pytest.mark.skipif(
     os.environ.get("BTO_EXTENDED") != "1",

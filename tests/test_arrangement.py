@@ -1,7 +1,13 @@
+import math
 from fractions import Fraction
 
+import pytest
+
 from booltermorders.arrangement import (
+    MAX_CHARPOLY,
     CharPoly,
+    _primes_for,
+    char_poly,
     char_poly_mobius,
     normals,
     point_count,
@@ -9,6 +15,8 @@ from booltermorders.arrangement import (
     root_system,
     verify_discriminantal,
 )
+from conftest import extended
+from oracles import slab_point_count
 
 EXPECTED_FACTORED = {
     1: "(x-1)",
@@ -19,6 +27,9 @@ EXPECTED_FACTORED = {
 }
 
 EXPECTED_REGIONS = {1: 2, 2: 8, 3: 96, 4: 5376, 5: 1981440}
+
+CHI_6 = (1, -364, 54673, -4237000, 169774459, -2857031116, 2691439347)
+COHERENT_CLASSES_6 = 124187  # pinned in test_acceptance.py
 
 
 def test_normal_counts():
@@ -60,6 +71,35 @@ def test_point_count_matches_poly(char_polys):
     poly = char_polys[3]
     q = 101
     assert point_count(3, q) == poly(q)
+
+
+def test_point_count_matches_slab_oracle():
+    # both count the same set of points, so they agree at any odd prime
+    cases = [(n, q) for n in range(1, 5) for q in _primes_for(n, n + 2)]
+    cases += [(3, 101), (5, 37)]
+    for n, q in cases:
+        assert point_count(n, q) == slab_point_count(n, q), (n, q)
+
+
+def test_chi_6_factors_and_counts_regions():
+    poly = CharPoly(CHI_6)
+    assert poly.factored_str() == (
+        "(x-1)(x^5 - 363x^4 + 54310x^3 - 4182690x^2 + 165591769x - 2691439347)"
+    )
+    assert abs(poly(-1)) == (1 << 6) * math.factorial(6) * COHERENT_CLASSES_6
+
+
+@extended
+def test_char_poly_6():
+    assert char_poly(6).coefficients == CHI_6
+
+
+def test_char_poly_rejects_n_out_of_range():
+    for n in (0, MAX_CHARPOLY + 1):
+        with pytest.raises(ValueError):
+            char_poly(n)
+        with pytest.raises(ValueError):
+            region_count(n)
 
 
 def test_root_system_order():

@@ -10,7 +10,6 @@ from booltermorders.baues import (
     refines,
     serialize_partial,
     validate_partial,
-    validate_partial_quadruples,
 )
 from booltermorders.catalog import (
     five_facet_four,
@@ -20,6 +19,7 @@ from booltermorders.catalog import (
 from booltermorders.coherence import find_weight
 from booltermorders.core import OrderError, ParseError
 from booltermorders.enumeration import enumerate_orders
+from oracles import validate_partial_quadruples
 
 
 def test_from_weight_groups_ties():
@@ -79,6 +79,13 @@ def test_partial_weight_of_total_orders():
     for order in enumerate_orders(4, mode="canonical"):
         assert find_partial_weight(PartialTermOrder.from_total(order)) == find_weight(order)
     assert find_partial_weight(PartialTermOrder.from_total(noncoherent_five())) is None
+
+
+def test_trivial_partial_order_is_coherent():
+    for n in range(4):
+        trivial = PartialTermOrder.trivial(n)
+        assert find_partial_weight(trivial) == (0,) * n
+        assert is_coherent_partial(trivial)
 
 
 def test_rigid_order_cone_is_trivial():

@@ -46,6 +46,16 @@ def test_regions(capsys):
     assert out == "regions=96\n"
 
 
+def test_arrangement_commands_reject_oversized_n(capsys):
+    # n = 7 cannot finish, so it is refused before any point is counted
+    for command in ("charpoly", "regions"):
+        for n in ("0", "7"):
+            code, out, err = run(capsys, command, "--n", n)
+            assert code == 2
+            assert out == ""
+            assert err.startswith("error: ")
+
+
 def test_coherence_incoherent(capsys, example_file):
     code, out, _ = run(capsys, "coherence", example_file)
     assert code == 1

@@ -8,7 +8,6 @@ from booltermorders.core import (
     ParseError,
     TermOrder,
     canonicalize,
-    canonicalize_brute_force,
     complement,
     full_mask,
     is_canonical,
@@ -21,6 +20,7 @@ from booltermorders.core import (
     validate,
 )
 from booltermorders.enumeration import enumerate_orders
+from oracles import canonicalize_brute_force
 
 
 def lex_order(n):

@@ -4,11 +4,8 @@ import pytest
 
 from booltermorders.cli import main
 from booltermorders.core import TermOrder, canonicalize
-from booltermorders.enumeration import (
-    brute_force_orders,
-    count_orders,
-    enumerate_orders,
-)
+from booltermorders.enumeration import count_orders, enumerate_orders
+from oracles import brute_force_orders
 
 
 def test_class_counts_small(canonical_orders):
