@@ -189,7 +189,6 @@ def noncoherence_certificate(order: TermOrder) -> Certificate:
     mults = [int(v * denom) for v in lam]
     g = reduce(math.gcd, mults)
     chain = order.chain
-    n = order.n
     combined: dict[tuple[int, int], int] = {}
     for k, m in enumerate(mults):
         if m == 0:

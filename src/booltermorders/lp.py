@@ -1,124 +1,148 @@
 """Exact rational linear programming (two-phase simplex, Bland's rule).
 
-Everything runs over :class:`fractions.Fraction`; no floating point enters
-any decision.  Problems here are tiny (tens of rows and columns), so a
-dense tableau is plenty.  Programs ``A x >= b`` with n unknowns and up to
-2^n rows are solved on the dual side (:func:`maximize_dual`, one tableau
-row per unknown); :func:`minimize_ge` is the primal encoder, for callers
-that need a particular optimal vertex.
+The tableau holds Python integers over one common positive denominator and
+pivots by Edmonds' integer-preserving step (Bareiss), so no floating point
+and no :class:`fractions.Fraction` arithmetic enters a pivot; solutions and
+objectives are returned as exact Fractions.  Constraint matrices are
+integer, right-hand sides and costs may be rational.  Problems here are
+tiny (tens of rows and columns), so a dense tableau is plenty.  Programs
+``A x >= b`` with n unknowns and up to 2^n rows are solved on the dual side
+(:func:`maximize_dual`, one tableau row per unknown); :func:`minimize_ge`
+is the primal encoder, for callers that need a particular optimal vertex.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
+from operator import index
 from typing import Sequence
-
-ZERO = Fraction(0)
-ONE = Fraction(1)
 
 
 class UnboundedError(Exception):
     pass
 
 
-def _pivot(tab, basis, row, col):
-    piv = tab[row][col]
-    inv = ONE / piv
-    tab[row] = [v * inv for v in tab[row]]
+def _lcm_of_denominators(values) -> int:
+    return math.lcm(*[v.denominator for v in values])
+
+
+def _pivot(tab, basis, d, row, col):
+    """Pivot on (row, col) over the denominator d > 0; returns the new one.
+
+    ``tab / d`` is the exact tableau.  With p the pivot entry, the new
+    denominator is |p|, the pivot row keeps its entries (negated when p < 0)
+    and every other row r becomes (|p| r - r[col] * pivot row) / d, a
+    division that is exact for an integer constraint matrix (Bareiss).
+    Rows past ``len(basis)``, the reduced-cost row, are pivoted alike.
+    """
     prow = tab[row]
+    p = prow[col]
+    if p < 0:
+        p = -p
+        prow = tab[row] = [-v for v in prow]
     for r, line in enumerate(tab):
-        if r != row and line[col] != 0:
+        if r != row:
             f = line[col]
-            tab[r] = [v - f * p for v, p in zip(line, prow)]
+            if f:
+                tab[r] = [(p * v - f * q) // d for v, q in zip(line, prow)]
+            elif p != d:
+                tab[r] = [p * v // d for v in line]
     basis[row] = col
+    return p
 
 
-def _simplex(tab, basis, cost):
-    """Minimize cost over the tableau's feasible basis; returns objective.
+def _simplex(tab, basis, d, cost):
+    """Minimize cost over the tableau's feasible basis.
 
-    ``tab`` rows are [a_1 ... a_k | rhs] with the current basis identity.
-    ``cost`` is the objective row over the structural columns.
+    ``tab`` rows are integers [a_1 ... a_k | rhs] over the denominator d,
+    with the basic columns d times the identity; ``cost`` is rational over
+    the structural columns, scaled to integers by the lcm of its
+    denominators (a positive scale leaves every pivot as it is).  Returns
+    (denominator, objective); ``tab`` and ``basis`` are updated in place.
     """
     m = len(tab)
     width = len(cost)
-    # reduced-cost row, updated with each pivot
-    red = [Fraction(v) for v in cost] + [ZERO]
+    scale = _lcm_of_denominators(cost)
+    cost = [int(v * scale) for v in cost]
+    # reduced-cost row over d * scale, pivoted with the tableau
+    red = [d * v for v in cost] + [0]
     for r in range(m):
         cb = cost[basis[r]]
-        if cb != 0:
-            row = tab[r]
-            red = [v - cb * a for v, a in zip(red, row)]
-    while True:
-        enter = -1
-        for j in range(width):
-            if red[j] < 0:
-                enter = j
-                break  # Bland: first improving column
-        if enter < 0:
-            return -red[-1]
-        leave = -1
-        best = None
-        for r in range(m):
-            a = tab[r][enter]
-            if a > 0:
-                ratio = tab[r][-1] / a
-                if best is None or ratio < best or (
-                    ratio == best and basis[r] < basis[leave]
-                ):
-                    best = ratio
-                    leave = r
-        if leave < 0:
-            raise UnboundedError
-        _pivot(tab, basis, leave, enter)
-        f = red[enter]
-        if f != 0:
-            prow = tab[leave]
-            red = [v - f * p for v, p in zip(red, prow)]
+        if cb:
+            red = [v - cb * a for v, a in zip(red, tab[r])]
+    tab.append(red)
+    try:
+        while True:
+            red = tab[m]
+            enter = -1
+            for j in range(width):
+                if red[j] < 0:
+                    enter = j
+                    break  # Bland: first improving column
+            if enter < 0:
+                return d, Fraction(-red[-1], d * scale)
+            leave = -1
+            for r in range(m):
+                a = tab[r][enter]
+                if a > 0:
+                    rhs = tab[r][-1]
+                    # ratios rhs / a compared by cross-multiplying (a > 0)
+                    if leave < 0 or rhs * best_a < best_rhs * a or (
+                        rhs * best_a == best_rhs * a and basis[r] < basis[leave]
+                    ):
+                        best_rhs, best_a, leave = rhs, a, r
+            if leave < 0:
+                raise UnboundedError
+            d = _pivot(tab, basis, d, leave, enter)
+    finally:
+        tab.pop()
 
 
 def solve_eq(
-    A: Sequence[Sequence[Fraction]],
+    A: Sequence[Sequence[int]],
     b: Sequence[Fraction],
     c: Sequence[Fraction],
 ):
-    """min c.x subject to A x = b, x >= 0.
+    """min c.x subject to A x = b, x >= 0, for integer A.
 
     Returns (status, x, objective) with status one of "optimal",
-    "infeasible", "unbounded".
+    "infeasible", "unbounded"; x and the objective are Fractions.
     """
     m = len(A)
     n = len(A[0]) if m else len(c)
+    # the whole tableau, artificial identity included, is scaled by d
+    d = _lcm_of_denominators(b)
     tab = []
     for i in range(m):
-        row = [Fraction(v) for v in A[i]]
-        rhs = Fraction(b[i])
+        row = [d * index(v) for v in A[i]]
+        rhs = int(d * b[i])
         if rhs < 0:
             row = [-v for v in row]
             rhs = -rhs
-        tab.append(row + [ZERO] * m + [rhs])
-        tab[i][n + i] = ONE
+        tab.append(row + [0] * m + [rhs])
+        tab[i][n + i] = d
     basis = [n + i for i in range(m)]
     # phase 1: drive out artificials
-    cost1 = [ZERO] * n + [ONE] * m
-    if _simplex(tab, basis, cost1) != 0:
+    d, infeasibility = _simplex(tab, basis, d, [0] * n + [1] * m)
+    if infeasibility != 0:
         return "infeasible", None, None
     for r in range(m):
         if basis[r] >= n:
             for j in range(n):
                 if tab[r][j] != 0:
-                    _pivot(tab, basis, r, j)
+                    d = _pivot(tab, basis, d, r, j)
                     break
     keep = [r for r in range(m) if basis[r] < n]
-    tab = [[tab[r][j] for j in range(n)] + [tab[r][-1]] for r in keep]
+    tab = [tab[r][:n] + [tab[r][-1]] for r in keep]
     basis = [basis[r] for r in keep]
-    cost2 = [Fraction(v) for v in c]
     try:
-        obj = _simplex(tab, basis, cost2)
+        d, obj = _simplex(tab, basis, d, c)
     except UnboundedError:
         return "unbounded", None, None
-    x = [ZERO] * n
+    x = [Fraction(0)] * n
     for r, j in enumerate(basis):
-        x[j] = tab[r][-1]
+        x[j] = Fraction(tab[r][-1], d)
     return "optimal", x, obj
 
 
@@ -168,13 +192,12 @@ def minimize_ge(
     n = len(c)
     rows = []
     for i in range(m):
-        a = [Fraction(v) for v in A[i]]
-        neg = [-v for v in a]
-        slack = [ZERO] * m
-        slack[i] = -ONE
-        rows.append(a + neg + slack)
-    cost = [Fraction(v) for v in c] + [-Fraction(v) for v in c] + [ZERO] * m
-    status, x, obj = solve_eq(rows, [Fraction(v) for v in b], cost)
+        a = list(A[i])
+        slack = [0] * m
+        slack[i] = -1
+        rows.append(a + [-v for v in a] + slack)
+    cost = list(c) + [-v for v in c] + [0] * m
+    status, x, obj = solve_eq(rows, b, cost)
     if status != "optimal":
         return status, None, None
     return status, [x[i] - x[n + i] for i in range(n)], obj

@@ -7,6 +7,7 @@ much more expensive route, so the tests can compare the two on small cases.
 from __future__ import annotations
 
 import itertools
+from fractions import Fraction
 
 import numpy as np
 
@@ -97,3 +98,98 @@ def slab_point_count(n: int, q: int) -> int:
         distinct = (np.diff(sums, axis=1) > 0).all(axis=1)
         total += int(distinct.sum())
     return total * (q - 1)
+
+
+class _Unbounded(Exception):
+    pass
+
+
+def _fraction_pivot(tab, basis, row, col):
+    piv = tab[row][col]
+    inv = Fraction(1) / piv
+    tab[row] = [v * inv for v in tab[row]]
+    prow = tab[row]
+    for r, line in enumerate(tab):
+        if r != row and line[col] != 0:
+            f = line[col]
+            tab[r] = [v - f * p for v, p in zip(line, prow)]
+    basis[row] = col
+
+
+def _fraction_simplex(tab, basis, cost):
+    m = len(tab)
+    width = len(cost)
+    red = [Fraction(v) for v in cost] + [Fraction(0)]
+    for r in range(m):
+        cb = cost[basis[r]]
+        if cb != 0:
+            row = tab[r]
+            red = [v - cb * a for v, a in zip(red, row)]
+    while True:
+        enter = -1
+        for j in range(width):
+            if red[j] < 0:
+                enter = j
+                break  # Bland: first improving column
+        if enter < 0:
+            return -red[-1]
+        leave = -1
+        best = None
+        for r in range(m):
+            a = tab[r][enter]
+            if a > 0:
+                ratio = tab[r][-1] / a
+                if best is None or ratio < best or (
+                    ratio == best and basis[r] < basis[leave]
+                ):
+                    best = ratio
+                    leave = r
+        if leave < 0:
+            raise _Unbounded
+        _fraction_pivot(tab, basis, leave, enter)
+        f = red[enter]
+        if f != 0:
+            prow = tab[leave]
+            red = [v - f * p for v, p in zip(red, prow)]
+
+
+def fraction_solve_eq(A, b, c):
+    """Reference for ``lp.solve_eq``: the same two-phase simplex over Fraction.
+
+    Same tableau, Bland's rule and phase-1 drive-out, with every entry a
+    Fraction divided through at each pivot, so the two must take the same
+    pivots and return equal (status, x, objective).
+    """
+    m = len(A)
+    n = len(A[0]) if m else len(c)
+    tab = []
+    for i in range(m):
+        row = [Fraction(v) for v in A[i]]
+        rhs = Fraction(b[i])
+        if rhs < 0:
+            row = [-v for v in row]
+            rhs = -rhs
+        tab.append(row + [Fraction(0)] * m + [rhs])
+        tab[i][n + i] = Fraction(1)
+    basis = [n + i for i in range(m)]
+    cost1 = [Fraction(0)] * n + [Fraction(1)] * m
+    if _fraction_simplex(tab, basis, cost1) != 0:
+        return "infeasible", None, None
+    for r in range(m):
+        if basis[r] >= n:
+            for j in range(n):
+                if tab[r][j] != 0:
+                    _fraction_pivot(tab, basis, r, j)
+                    break
+    keep = [r for r in range(m) if basis[r] < n]
+    tab = [[tab[r][j] for j in range(n)] + [tab[r][-1]] for r in keep]
+    basis = [basis[r] for r in keep]
+    cost2 = [Fraction(v) for v in c]
+    try:
+        obj = _fraction_simplex(tab, basis, cost2)
+    except _Unbounded:
+        return "unbounded", None, None
+    x = [Fraction(0)] * n
+    for r, j in enumerate(basis):
+        x[j] = tab[r][-1]
+    return "optimal", x, obj

@@ -93,14 +93,28 @@ def test_rigid_order_cone_is_trivial():
     assert coherent_coarsenings_nontrivial(rigid_noncoherent_six()) == []
 
 
+# levels of the partitions induced by the box-LP vertices, in the order returned
+PINNED_COARSENINGS = {
+    noncoherent_five: [
+        [[0], [1, 2], [3, 4, 8, 16], [5, 6, 9, 10, 17, 18], [7, 11, 12, 19, 20, 24],
+         [13, 14, 21, 22, 25, 26], [15, 23, 27, 28], [29, 30], [31]],
+    ],
+    five_facet_four: [
+        [[0], [1, 2, 4], [3, 5, 6, 8], [7, 9, 10, 12], [11, 13, 14], [15]],
+        [[0], [1, 2], [3, 4], [5, 6, 8], [7, 9, 10], [11, 12], [13, 14], [15]],
+    ],
+}
+
+
 def test_nonrigid_orders_have_coarsenings():
-    assert not coherent_above_only_trivial(five_facet_four())
-    assert not coherent_above_only_trivial(noncoherent_five())
-    found = coherent_coarsenings_nontrivial(noncoherent_five())
-    assert found
-    for coarse in found:
-        assert is_coherent_partial(coarse)
-        assert refines(PartialTermOrder.from_total(noncoherent_five()), coarse)
+    for make, pinned in PINNED_COARSENINGS.items():
+        order = make()
+        assert not coherent_above_only_trivial(order)
+        found = coherent_coarsenings_nontrivial(order)
+        assert [coarse.levels for coarse in found] == pinned
+        for coarse in found:
+            assert is_coherent_partial(coarse)
+            assert refines(PartialTermOrder.from_total(order), coarse)
 
 
 def test_parse_serialize_roundtrip():

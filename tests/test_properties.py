@@ -3,9 +3,11 @@
 import contextlib
 import io
 import tempfile
+from fractions import Fraction
 from pathlib import Path
 
-from hypothesis import assume, given, settings
+import pytest
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from booltermorders import lp
@@ -17,14 +19,25 @@ from booltermorders.baues import (
     serialize_partial,
 )
 from booltermorders.cli import main
-from booltermorders.coherence import TieError, find_weight, order_from_weight
+from booltermorders.coherence import (
+    CoherentOrderError,
+    TieError,
+    _constraints,
+    find_weight,
+    noncoherence_certificate,
+    order_from_weight,
+    verify_certificate,
+)
 from booltermorders.core import (
     ParseError,
     TermOrder,
     format_subset,
+    is_valid,
     parse_order,
     serialize_order,
 )
+from booltermorders.flips import flip, flippable_pairs
+from oracles import fraction_solve_eq
 
 
 def cone_is_zero_by_box_lps(rows, n):
@@ -44,6 +57,96 @@ def cone_is_zero_by_box_lps(rows, n):
             if obj < 0:
                 return False
     return True
+
+
+@st.composite
+def equality_programs(draw):
+    """min c.x over A x = b, x >= 0: integer A, rational b and c.
+
+    Small entries make ties in the ratio test common; with a flag, the sum
+    of two rows is appended, a redundant row whose artificial variable
+    phase 1 has to drive out of the basis.
+    """
+    m = draw(st.integers(0, 4))
+    n = draw(st.integers(1, 5))
+    rational = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+    A = draw(st.lists(st.lists(st.integers(-2, 2), min_size=n, max_size=n),
+                      min_size=m, max_size=m))
+    b = draw(st.lists(rational, min_size=m, max_size=m))
+    if m and draw(st.booleans()):
+        i = draw(st.integers(0, m - 1))
+        j = draw(st.integers(0, m - 1))
+        A.append([u + v for u, v in zip(A[i], A[j])])
+        b.append(b[i] + b[j])
+    c = draw(st.lists(rational, min_size=n, max_size=n))
+    return A, b, c
+
+
+@settings(deadline=None)
+@given(equality_programs())
+@example(([[1, 1], [1, 1]], [Fraction(1, 2)] * 2, [Fraction(1), Fraction(2)]))  # redundant
+@example(([[1, 1], [1, 1]], [1, 2], [0, 0]))  # infeasible
+@example(([[1, -1]], [0], [-1, 0]))  # unbounded
+@example(([[1, 1, 0], [1, 0, 1]], [0, 0], [-1, 1, 1]))  # degenerate
+@example(([], [], [1, 0]))  # no rows
+@example(([[0, -2]], [0], [1, -1]))  # an artificial driven out on a negative entry
+@example((  # a ratio tie that Bland's rule breaks: the optimum is not unique
+    [[2, 2, -1, 1, 1, 1], [0, 2, -1, 1, -1, -1], [0, -1, 1, 1, 1, -2]],
+    [0, -3, 3],
+    [Fraction(3, 2), 0, 0, 1, 0, 0],
+))
+def test_solve_eq_matches_fraction_oracle(program):
+    A, b, c = program
+    status, x, obj = lp.solve_eq(A, b, c)
+    assert (status, x, obj) == fraction_solve_eq(A, b, c)
+    if status == "optimal":
+        assert all(type(v) is Fraction for v in x + [obj])
+
+
+def farkas_by_fraction_oracle(A, b):
+    """``lp.farkas_ge`` through the same dual program, solved by the oracle."""
+    n = len(A[0]) if A else 0
+    extended = [list(a) + [beta] for a, beta in zip(A, b)]
+    columns = [[row[j] for row in extended] for j in range(n + 1)]
+    status, lam, _ = fraction_solve_eq(columns, [0] * n + [1], [0] * len(A))
+    return lam if status == "optimal" else None
+
+
+def test_farkas_matches_fraction_oracle(canonical_orders):
+    for n in range(1, 5):
+        for order in canonical_orders[n]:
+            rows, rhs = _constraints(order)
+            assert lp.farkas_ge(rows, rhs) == farkas_by_fraction_oracle(rows, rhs)
+
+
+@settings(deadline=None)
+@given(
+    st.lists(st.integers(1, 1000), min_size=1, max_size=5),
+    st.lists(st.integers(0, 10**6), max_size=12),
+)
+@example([22, 5, 29, 16, 10], [6])  # one flip to a noncoherent order
+def test_flip_walks_keep_orders_valid_and_decided(weights, picks):
+    n = len(weights)
+    try:
+        order = order_from_weight(weights, n)
+    except TieError:
+        assume(False)
+    for k in picks:
+        pairs = [p for p in flippable_pairs(order) if p.left]
+        if not pairs:
+            break
+        pair = pairs[k % len(pairs)]
+        flipped = flip(order, pair)
+        assert is_valid(flipped)
+        assert flip(flipped, pair.reversed()) == order
+        order = flipped
+        weight = find_weight(order)
+        if weight is None:
+            assert verify_certificate(order, noncoherence_certificate(order))
+        else:
+            assert order_from_weight(weight, n) == order
+            with pytest.raises(CoherentOrderError):
+                noncoherence_certificate(order)
 
 
 @st.composite
