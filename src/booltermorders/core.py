@@ -131,7 +131,9 @@ class TermOrder:
     """A candidate total order on the subsets of [n].
 
     The constructor only checks the shape; use :func:`validate` to test the
-    order axioms.  Instances are immutable and hashable.
+    order axioms.  Instances are immutable and hashable.  Only :func:`is_valid`
+    memoizes its answer, as ``_valid`` in ``__dict__``, which equality, hash
+    and repr ignore; a flipped, relabeled or parsed order is checked afresh.
     """
 
     n: int
@@ -153,10 +155,6 @@ class TermOrder:
         for pos, mask in enumerate(chain):
             rank[mask] = pos
         return cls(n, tuple(rank))
-
-    @classmethod
-    def from_subset_chain(cls, n: int, subsets: Sequence[Iterable[int]]) -> "TermOrder":
-        return cls.from_chain(n, [mask_of(s) for s in subsets])
 
     @property
     def chain(self) -> tuple[int, ...]:
@@ -186,21 +184,30 @@ class ValidationReport:
 
 
 def is_valid(order: TermOrder) -> bool:
-    """Fast check of the term-order axioms (no violation report)."""
+    """Fast check of the term-order axioms (no violation report).
+
+    The union axiom is checked for the singletons gamma = {e} only: adding e
+    to the subsets without e keeps their chain order.  That suffices, since
+    alpha ≺ beta gives alpha ∪ gamma ≺ beta ∪ gamma by adding the elements
+    of gamma one at a time, each disjoint from both growing sides.  The
+    answer is memoized on the order (see :class:`TermOrder`).
+    """
+    valid = order.__dict__.get("_valid")
+    if valid is None:
+        valid = order.__dict__["_valid"] = _singleton_axioms_hold(order)
+    return valid
+
+
+def _singleton_axioms_hold(order: TermOrder) -> bool:
     rank = order.rank
     size = len(rank)
     if sorted(rank) != list(range(size)) or rank[0] != 0:
         return False
     chain = order.chain
-    for gamma in range(1, size):
-        prev = -1
-        for mask in chain:
-            if mask & gamma:
-                continue
-            r = rank[mask | gamma]
-            if r <= prev:
-                return False
-            prev = r
+    for e in range(order.n):
+        bit = 1 << e
+        if [m for m in chain if m & bit] != [m | bit for m in chain if not m & bit]:
+            return False
     return True
 
 
@@ -248,23 +255,16 @@ def require_valid(order: TermOrder) -> None:
 # relabeling and canonical forms
 
 
-def permute_mask(mask: int, perm: Sequence[int]) -> int:
-    """Apply a permutation of bit positions (perm[i] = image of position i)."""
-    out = 0
-    i = 0
-    while mask:
-        if mask & 1:
-            out |= 1 << perm[i]
-        mask >>= 1
-        i += 1
-    return out
-
-
 def relabel(order: TermOrder, perm: Sequence[int]) -> TermOrder:
     """Relabel ground elements; perm maps bit position i to perm[i]."""
-    rank = [0] * len(order.rank)
+    size = len(order.rank)
+    image = [0] * size  # image[mask] = image[mask without its low bit] | image[low bit]
+    for mask in range(1, size):
+        low = mask & -mask
+        image[mask] = image[mask ^ low] | 1 << perm[low.bit_length() - 1]
+    rank = [0] * size
     for mask, r in enumerate(order.rank):
-        rank[permute_mask(mask, perm)] = r
+        rank[image[mask]] = r
     return TermOrder(order.n, tuple(rank))
 
 

@@ -5,8 +5,8 @@ keep their relative order, the subsets with n appear in the same relative
 order (forced by the union axiom), and the two chains are interleaved.  A
 merge is valid iff the cross comparisons between the chains are constant on
 each class of pairs with the same disjoint reduction, which the search
-enforces incrementally; a full validate of every emitted order guards the
-pruning at desk scale.
+enforces incrementally on bitsets of those reductions.  For n <= 5 every
+emitted order is also checked by :func:`is_valid`.
 
 Class representatives are the canonical orders (singleton ranks increasing),
 so canonical-only enumeration just constrains where the new singleton {n}
@@ -39,72 +39,60 @@ class EnumerationResult:
 _BASE_CHAINS = {0: (0,), 1: (0, 1)}
 
 
-def _extension_chains(chain: tuple[int, ...], n: int) -> Iterator[tuple[int, ...]]:
+def _cross_keys(chain: tuple[int, ...], n: int) -> tuple[list[list[int]], list[list[int]]]:
+    """Bitsets of the cross comparisons that each placement fixes.
+
+    Chain A is ``chain``, chain B is ``chain`` lifted by {n}.  The pair (a,
+    b|{n}) has the key bit a'·2^(n-1) + b' of its disjoint reduction (a', b').
+    ``key_a[i][j]`` ORs the keys of chain[i] against chain[j:], the B sets
+    that end up above it when it is placed after j of them; ``key_b[j][i]``
+    ORs those of B set j against chain[i:], the A sets that end up above it.
+    """
+    top = 1 << (n - 1)
+    key_a, key_b = [], []
+    for x in chain:
+        row_a, row_b = [0], [0]
+        for y in reversed(chain):
+            row_a.append(row_a[-1] | 1 << ((x & ~y) * top + (y & ~x)))
+            row_b.append(row_b[-1] | 1 << ((y & ~x) * top + (x & ~y)))
+        key_a.append(row_a[::-1])
+        key_b.append(row_b[::-1])
+    return key_a, key_b
+
+
+def _merge_leaves(chain: tuple[int, ...], n: int) -> Iterator[list[int]]:
     """Canonical interleavings of chain and chain|{n}: valid orders on [n].
 
-    ``chain`` lists the subsets of [n-1] in order.  The incremental check
-    fixes, whenever an element is placed after elements of the other chain,
-    the induced cross comparison keyed by its disjoint reduction; a
-    conflicting key prunes the branch.
+    ``chain`` lists the subsets of [n-1] in order.  A cross comparison is
+    fixed when the first of its two sets is placed: its key joins T (A set
+    below) or F (A set above), and a key in both prunes the branch.  A node
+    (i, j, T, F) has placed chain[:i] and j sets of B; the first set placed
+    is the empty set of A, which puts every a below a|{n}.  Each leaf yields
+    the same list, refilled, so a caller copies what it keeps.
     """
     m = len(chain)
-    top = 1 << (n - 1)
-    # fixed[(a, b)] = True if the chain-A set is below the chain-B set for
-    # every cross pair reducing to the disjoint pair (a, b)
-    fixed: dict[tuple[int, int], bool] = {(0, 0): True}
-    out: list[int] = []
+    key_a, key_b = _cross_keys(chain, n)
+    lifted = [b | 1 << (n - 1) for b in chain]
     # canonical extensions keep the singleton {n} after the singleton {n-1}
-    gate = chain.index(1 << (n - 2)) if n >= 2 else -1
-
-    def reduce(a: int, b: int) -> tuple[int, int]:
-        common = a & b
-        return a & ~common, b & ~common
-
-    def place(i: int, j: int) -> Iterator[tuple[int, ...]]:
-        if i == m and j == m:
-            yield tuple(out)
-            return
+    gate = chain.index(1 << (n - 2))
+    out = [0] * (2 * m)
+    stack = [(0, 0, 0, 0, 0)]  # depth first, A before B, with the set placed last
+    while stack:
+        i, j, T, F, placed = stack.pop()
+        if i + j:
+            out[i + j - 1] = placed
+        if j < m and (j or i > gate) and not key_b[j][i] & T:
+            stack.append((i, j + 1, T, F | key_b[j][i], lifted[j]))
         if i < m:
-            a = chain[i]
-            added = []
-            ok = True
-            for k in range(j):
-                key = reduce(a, chain[k])
-                prev = fixed.get(key)
-                if prev is None:
-                    fixed[key] = False
-                    added.append(key)
-                elif prev:
-                    ok = False
-                    break
-            if ok:
-                out.append(a)
-                yield from place(i + 1, j)
-                out.pop()
-            for key in added:
-                del fixed[key]
-        if j < m and (j > 0 or i > 0):
-            if not (j == 0 and gate >= i):
-                b = chain[j]
-                added = []
-                ok = True
-                for k in range(i):
-                    key = reduce(chain[k], b)
-                    prev = fixed.get(key)
-                    if prev is None:
-                        fixed[key] = True
-                        added.append(key)
-                    elif not prev:
-                        ok = False
-                        break
-                if ok:
-                    out.append(b | top)
-                    yield from place(i, j + 1)
-                    out.pop()
-                for key in added:
-                    del fixed[key]
+            if not key_a[i][j] & F:
+                stack.append((i + 1, j, T | key_a[i][j], F, chain[i]))
+        elif j == m:
+            yield out
 
-    return place(0, 0)
+
+def _extension_chains(chain: tuple[int, ...], n: int) -> Iterator[tuple[int, ...]]:
+    """The chains of :func:`_merge_leaves`, in its order."""
+    return map(tuple, _merge_leaves(chain, n))
 
 
 def _chains(n: int) -> Iterator[tuple[int, ...]]:
@@ -123,7 +111,7 @@ def enumerate_orders(
 
     ``mode="canonical"`` emits one representative per relabeling class (the
     canonical one); ``mode="all"`` emits every labeling.  With ``verify``
-    (default: on for n <= 5) each emitted order passes a full validate.
+    (default: on for n <= 5) each emitted order is checked by :func:`is_valid`.
     """
     if not 0 <= n <= MAX_ENUM:
         raise ValueError(f"n must be in 0..{MAX_ENUM}, got {n}")
@@ -145,13 +133,15 @@ def enumerate_orders(
 
 
 def count_orders(n: int) -> EnumerationResult:
-    """Class and total counts, streaming with frontier-sized memory."""
+    """Class and total counts, streaming with frontier-sized memory.
+
+    For n <= 5 every chain is built and validated; above, the leaves of the
+    last level's search are only counted.
+    """
     if not 0 <= n <= MAX_ENUM:
         raise ValueError(f"n must be in 0..{MAX_ENUM}, got {n}")
-    verify = n <= 5
-    count = 0
-    for chain in _chains(n):
-        if verify and not is_valid(TermOrder.from_chain(n, chain)):
-            raise AssertionError(f"enumeration produced an invalid order: {chain}")
-        count += 1
+    if n <= 5:
+        count = sum(1 for _ in enumerate_orders(n, mode="canonical"))
+    else:
+        count = sum(1 for chain in _chains(n - 1) for _ in _merge_leaves(chain, n))
     return EnumerationResult(n=n, class_count=count)

@@ -37,30 +37,27 @@ def primitive_pairs(order: TermOrder) -> list[DisjointPair]:
 
 def flippable_pairs(order: TermOrder) -> list[DisjointPair]:
     """Primitive pairs whose every disjoint translate is also consecutive."""
-    require_valid(order)
+    return [pair for pair in primitive_pairs(order) if _translates_consecutive(order, pair)]
+
+
+def _translates_consecutive(order: TermOrder, pair: DisjointPair) -> bool:
+    """Whether pair.left | l sits right below pair.right | l for every l."""
     rank = order.rank
-    full = full_mask(order.n)
-    out = []
-    for pair in primitive_pairs(order):
-        rest = full & ~(pair.left | pair.right)
-        if all(
-            rank[pair.right | l] == rank[pair.left | l] + 1 for l in submasks(rest)
-        ):
-            out.append(pair)
-    return out
+    rest = full_mask(order.n) & ~(pair.left | pair.right)
+    return all(rank[pair.right | l] == rank[pair.left | l] + 1 for l in submasks(rest))
 
 
 def flip(order: TermOrder, pair: DisjointPair) -> TermOrder:
     """Swap every translate of the pair; requires a flippable, nonempty left side."""
     if pair.left == 0:
         raise FlipError("cannot flip a pair with empty left side")
-    if pair not in flippable_pairs(order):
+    require_valid(order)
+    full = full_mask(order.n)
+    if (pair.left | pair.right) & ~full or not _translates_consecutive(order, pair):
         raise FlipError(f"pair {pair} is not flippable in this order")
     rank = list(order.rank)
-    rest = full_mask(order.n) & ~(pair.left | pair.right)
-    for l in submasks(rest):
-        a = pair.left | l
-        b = pair.right | l
+    for l in submasks(full & ~(pair.left | pair.right)):
+        a, b = pair.left | l, pair.right | l
         rank[a], rank[b] = rank[b], rank[a]
     return TermOrder(order.n, tuple(rank))
 

@@ -8,11 +8,12 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+from typing import Iterator
 
 import numpy as np
 
 from booltermorders.baues import PartialTermOrder, PartialValidationReport
-from booltermorders.core import TermOrder, full_mask, is_valid, relabel
+from booltermorders.core import TermOrder, full_mask, relabel
 
 
 def canonicalize_brute_force(order: TermOrder) -> TermOrder:
@@ -25,6 +26,29 @@ def canonicalize_brute_force(order: TermOrder) -> TermOrder:
     return TermOrder(order.n, best)
 
 
+def is_valid_all_gammas(order: TermOrder) -> bool:
+    """Reference for ``core.is_valid``: the union axiom for every gamma.
+
+    For each nonempty gamma, the subsets disjoint from gamma, taken in
+    chain order, must keep their order after the union with gamma.
+    """
+    rank = order.rank
+    size = len(rank)
+    if sorted(rank) != list(range(size)) or rank[0] != 0:
+        return False
+    chain = order.chain
+    for gamma in range(1, size):
+        prev = -1
+        for mask in chain:
+            if mask & gamma:
+                continue
+            r = rank[mask | gamma]
+            if r <= prev:
+                return False
+            prev = r
+    return True
+
+
 def brute_force_orders(n: int) -> list[TermOrder]:
     """Filter all orderings of the nonempty subsets by validity.
 
@@ -34,9 +58,75 @@ def brute_force_orders(n: int) -> list[TermOrder]:
     found = []
     for perm in itertools.permutations(range(1, size)):
         order = TermOrder.from_chain(n, (0,) + perm)
-        if is_valid(order):
+        if is_valid_all_gammas(order):
             found.append(order)
     return found
+
+
+def extension_chains_dict(chain: tuple[int, ...], n: int) -> Iterator[tuple[int, ...]]:
+    """Reference for ``enumeration._extension_chains``: the search on a dict.
+
+    Each cross comparison fixed on the current branch is stored under its
+    disjoint reduction, with an undo list per placement.
+    """
+    m = len(chain)
+    top = 1 << (n - 1)
+    # fixed[(a, b)] = True if the chain-A set is below the chain-B set for
+    # every cross pair reducing to the disjoint pair (a, b)
+    fixed: dict[tuple[int, int], bool] = {(0, 0): True}
+    out: list[int] = []
+    # canonical extensions keep the singleton {n} after the singleton {n-1}
+    gate = chain.index(1 << (n - 2)) if n >= 2 else -1
+
+    def reduce(a: int, b: int) -> tuple[int, int]:
+        common = a & b
+        return a & ~common, b & ~common
+
+    def place(i: int, j: int) -> Iterator[tuple[int, ...]]:
+        if i == m and j == m:
+            yield tuple(out)
+            return
+        if i < m:
+            a = chain[i]
+            added = []
+            ok = True
+            for k in range(j):
+                key = reduce(a, chain[k])
+                prev = fixed.get(key)
+                if prev is None:
+                    fixed[key] = False
+                    added.append(key)
+                elif prev:
+                    ok = False
+                    break
+            if ok:
+                out.append(a)
+                yield from place(i + 1, j)
+                out.pop()
+            for key in added:
+                del fixed[key]
+        if j < m and (j > 0 or i > 0):
+            if not (j == 0 and gate >= i):
+                b = chain[j]
+                added = []
+                ok = True
+                for k in range(i):
+                    key = reduce(chain[k], b)
+                    prev = fixed.get(key)
+                    if prev is None:
+                        fixed[key] = True
+                        added.append(key)
+                    elif not prev:
+                        ok = False
+                        break
+                if ok:
+                    out.append(b | top)
+                    yield from place(i, j + 1)
+                    out.pop()
+                for key in added:
+                    del fixed[key]
+
+    return place(0, 0)
 
 
 def validate_partial_quadruples(order: PartialTermOrder) -> PartialValidationReport:

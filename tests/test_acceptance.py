@@ -4,7 +4,6 @@ Extended (non-gating) runs at n = 6 are skipped unless BTO_EXTENDED=1.
 """
 
 import math
-import os
 
 import pytest
 
@@ -41,12 +40,8 @@ from booltermorders.omatroid import (
     mu_from_order,
 )
 from booltermorders.baues import coherent_above_only_trivial
+from conftest import extended
 from oracles import brute_force_orders
-
-extended = pytest.mark.skipif(
-    os.environ.get("BTO_EXTENDED") != "1",
-    reason="extended run; set BTO_EXTENDED=1 to enable",
-)
 
 
 def _pair(l, r):

@@ -9,6 +9,7 @@ from booltermorders.core import (
     TermOrder,
     canonicalize,
     complement,
+    elements,
     full_mask,
     is_canonical,
     is_valid,
@@ -20,7 +21,7 @@ from booltermorders.core import (
     validate,
 )
 from booltermorders.enumeration import enumerate_orders
-from oracles import canonicalize_brute_force
+from oracles import canonicalize_brute_force, is_valid_all_gammas
 
 
 def lex_order(n):
@@ -68,6 +69,54 @@ def test_union_axiom_exhaustive_n3():
                     if s == 0:
                         break
                     s = (s - 1) & g
+
+
+def test_is_valid_matches_oracles_on_every_n3_chain():
+    """All 7! chains with the empty set first: singleton check = all gammas = validate."""
+    found = 0
+    for perm in itertools.permutations(range(1, 8)):
+        order = TermOrder.from_chain(3, (0,) + perm)
+        valid = is_valid(order)
+        assert valid == is_valid_all_gammas(order) == validate(order).ok
+        found += valid
+    assert found == 12
+
+
+def test_is_valid_rejects_bad_rank_arrays():
+    assert not is_valid(TermOrder(2, (0, 1, 1, 3)))  # not a permutation
+    assert not is_valid(TermOrder.from_chain(2, [1, 0, 2, 3]))  # empty set not first
+    assert is_valid(TermOrder(0, (0,)))
+
+
+def test_validity_memo_is_invisible():
+    for valid, order in [
+        (True, TermOrder.from_chain(3, [0, 1, 2, 3, 4, 5, 6, 7])),
+        (False, TermOrder.from_chain(3, [0, 1, 2, 3, 4, 6, 5, 7])),
+    ]:
+        twin = TermOrder(order.n, order.rank)
+        before = (hash(order), repr(order))
+        assert is_valid(order) is valid
+        assert (hash(order), repr(order)) == before == (hash(twin), repr(twin))
+        assert order == twin and twin == order
+        assert is_valid(order) is valid  # from the memo
+
+
+def test_relabel_carries_no_validity():
+    invalid = TermOrder.from_chain(3, [0, 1, 2, 3, 4, 6, 5, 7])
+    assert not is_valid(invalid)
+    for perm in itertools.permutations(range(3)):
+        moved = relabel(invalid, perm)
+        assert not is_valid(moved)
+        assert not is_valid_all_gammas(moved)
+
+
+def test_relabel_moves_elements():
+    order = next(enumerate_orders(4, mode="canonical"))
+    for perm in itertools.permutations(range(4)):
+        moved = relabel(order, perm)
+        for mask in range(16):
+            image = mask_of(perm[e - 1] + 1 for e in elements(mask))
+            assert moved.rank[image] == order.rank[mask]
 
 
 def test_complement_duality():

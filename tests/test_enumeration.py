@@ -1,11 +1,18 @@
+import itertools
 import math
 
 import pytest
 
 from booltermorders.cli import main
 from booltermorders.core import TermOrder, canonicalize
-from booltermorders.enumeration import count_orders, enumerate_orders
-from oracles import brute_force_orders
+from booltermorders.enumeration import (
+    _chains,
+    _extension_chains,
+    count_orders,
+    enumerate_orders,
+)
+from conftest import extended
+from oracles import brute_force_orders, extension_chains_dict
 
 
 def test_class_counts_small(canonical_orders):
@@ -50,3 +57,30 @@ def test_empty_ground_set(capsys):
     assert (result.class_count, result.total_count) == (1, 1)
     assert main(["enumerate", "--n", "0", "--count-only"]) == 0
     assert capsys.readouterr().out == "classes=1 total=1\n"
+
+
+def _n6_prefix_matches_dict_oracle(wanted):
+    for parent in _chains(5):
+        got = list(itertools.islice(_extension_chains(parent, 6), wanted))
+        assert got == list(itertools.islice(extension_chains_dict(parent, 6), wanted))
+        wanted -= len(got)
+        if not wanted:
+            return
+
+
+def test_bitset_search_matches_dict_oracle():
+    """Chain for chain, in order: every extension for n <= 5, then n=6."""
+    for n in range(2, 6):
+        for parent in _chains(n - 1):
+            got = list(_extension_chains(parent, n))
+            assert got == list(extension_chains_dict(parent, n))
+    _n6_prefix_matches_dict_oracle(500)
+
+
+@extended
+def test_bitset_search_matches_dict_oracle_n6():
+    _n6_prefix_matches_dict_oracle(5000)
+
+
+def test_count_orders_n6():
+    assert count_orders(6).class_count == 169444

@@ -7,7 +7,7 @@ from booltermorders.catalog import (
     noncoherent_five,
 )
 from booltermorders.coherence import is_coherent
-from booltermorders.core import DisjointPair, TermOrder, mask_of
+from booltermorders.core import DisjointPair, OrderError, TermOrder, mask_of
 from booltermorders.enumeration import enumerate_orders
 from booltermorders.flips import (
     FlipError,
@@ -92,6 +92,43 @@ def test_flip_rejects_nonflippable():
     ]
     with pytest.raises(FlipError):
         flip(order, nonflippable[0])
+
+
+def test_flip_errors_follow_flippable_pairs():
+    """Every disjoint pair: flippable ones flip, the rest raise as before."""
+    orders = [o for n in (2, 3, 4) for o in enumerate_orders(n, mode="canonical")]
+    orders.append(noncoherent_five())
+    kinds = set()
+    for order in orders:
+        n = order.n
+        flippable = set(flippable_pairs(order))
+        primitive = set(primitive_pairs(order))
+        for left in range(1 << (n + 1)):
+            rest = ((1 << (n + 1)) - 1) & ~left
+            for right in _submasks(rest):
+                if left == right == 0:
+                    continue
+                p = DisjointPair(left, right)
+                if left == 0:
+                    with pytest.raises(FlipError, match="^cannot flip a pair with empty left"):
+                        flip(order, p)
+                    continue
+                if p in flippable:
+                    kinds.add("flippable")
+                    assert flip(flip(order, p), p.reversed()) == order
+                    continue
+                kinds.add("primitive" if p in primitive else "other")
+                with pytest.raises(FlipError) as err:
+                    flip(order, p)
+                assert str(err.value) == f"pair {p} is not flippable in this order"
+    assert kinds == {"flippable", "primitive", "other"}
+
+
+def test_flip_requires_a_valid_order():
+    # {1,2} < {3} sit at consecutive ranks with no translates, but {2,3} < {1,3}
+    invalid = TermOrder.from_chain(3, [0, 1, 2, 3, 4, 6, 5, 7])
+    with pytest.raises(OrderError):
+        flip(invalid, DisjointPair(0b011, 0b100))
 
 
 def test_primitive_pair_determination():

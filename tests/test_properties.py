@@ -1,7 +1,9 @@
 """Property tests for the order LPs and the order-file boundary (hypothesis)."""
 
 import contextlib
+import functools
 import io
+import itertools
 import tempfile
 from fractions import Fraction
 from pathlib import Path
@@ -35,9 +37,11 @@ from booltermorders.core import (
     is_valid,
     parse_order,
     serialize_order,
+    validate,
 )
+from booltermorders.enumeration import enumerate_orders
 from booltermorders.flips import flip, flippable_pairs
-from oracles import fraction_solve_eq
+from oracles import fraction_solve_eq, is_valid_all_gammas
 
 
 def cone_is_zero_by_box_lps(rows, n):
@@ -147,6 +151,40 @@ def test_flip_walks_keep_orders_valid_and_decided(weights, picks):
             assert order_from_weight(weight, n) == order
             with pytest.raises(CoherentOrderError):
                 noncoherence_certificate(order)
+
+
+@functools.lru_cache(maxsize=None)
+def enumerated_classes(n):
+    """Canonical classes for n = 4, 5 and the first 2000 for n = 6."""
+    return list(itertools.islice(enumerate_orders(n, mode="canonical"), 2000))
+
+
+@st.composite
+def perturbed_orders(draw):
+    """An enumerated order with two ranks swapped, or two chain neighbours.
+
+    The two middle sets are complements, so swapping them keeps the order
+    valid; most other swaps break it.
+    """
+    n = draw(st.integers(4, 6))
+    chain = list(draw(st.sampled_from(enumerated_classes(n))).chain)
+    size = len(chain)
+    kind = draw(st.sampled_from(["middle", "neighbours", "any"]))
+    if kind == "middle":
+        i, j = size // 2 - 1, size // 2
+    elif kind == "neighbours":
+        i = draw(st.integers(0, size - 2))
+        j = i + 1
+    else:
+        i, j = draw(st.lists(st.integers(0, size - 1), min_size=2, max_size=2, unique=True))
+    chain[i], chain[j] = chain[j], chain[i]
+    return TermOrder.from_chain(n, chain)
+
+
+@settings(deadline=None)
+@given(perturbed_orders())
+def test_is_valid_matches_oracles_on_perturbed_orders(order):
+    assert is_valid(order) == is_valid_all_gammas(order) == validate(order).ok
 
 
 @st.composite
