@@ -2,10 +2,11 @@
 
 The characteristic polynomial is computed by counting, over several prime
 fields, the vectors all of whose 2^n subset sums are distinct, then
-interpolating; an extra prime cross-validates the result, and for n <= 3 an
-independent intersection-lattice Moebius computation must agree.  The
-absolute value at -1 is the region count (Zaslavsky), which for this
-arrangement is 2^n * n! times the number of coherent order classes.
+interpolating; an extra prime cross-validates the result.  The test suite
+compares n <= 3 with an independent intersection-lattice Moebius
+computation (``tests/oracles.py``).  The absolute value at -1 is the
+region count (Zaslavsky), which for this arrangement is 2^n * n! times the
+number of coherent order classes.
 
 Points are counted up to the symmetries of the arrangement, B_n (permuting
 and negating coordinates) and scaling by F_q^*: the count at an odd prime q
@@ -223,8 +224,8 @@ def char_poly(n: int) -> CharPoly:
     """Characteristic polynomial via prime-field point counts.
 
     Counts at the smallest n+2 primes of good reduction (see _primes_for);
-    the first n+1 interpolate, the last cross-validates.  For n <= 3 the
-    intersection-lattice Moebius computation must agree as well.
+    the first n+1 interpolate, the last cross-validates, and the result
+    must be monic and vanish at 1.
     """
     if not 1 <= n <= MAX_CHARPOLY:
         raise ValueError(f"n must be in 1..{MAX_CHARPOLY}, got {n}")
@@ -240,92 +241,12 @@ def char_poly(n: int) -> CharPoly:
         raise CrossValidationError(primes, "validation prime disagrees with interpolation")
     if poly(1) != 0:
         raise CrossValidationError(primes, "polynomial does not vanish at 1")
-    if n <= 3 and poly.coefficients != char_poly_mobius(n).coefficients:
-        raise CrossValidationError(primes, "Moebius-function oracle disagrees")
     return poly
 
 
 def region_count(n: int) -> int:
     """|chi(-1)|: the number of regions of the arrangement."""
     return abs(char_poly(n)(-1))
-
-
-# ---------------------------------------------------------------------------
-# intersection-lattice oracle (exact linear algebra over Q)
-
-
-def _rref(rows: list[list[Fraction]]) -> tuple[tuple[Fraction, ...], ...]:
-    mat = [list(r) for r in rows]
-    out = []
-    cols = len(mat[0]) if mat else 0
-    pivot_col = 0
-    while mat and pivot_col < cols:
-        pivot = next((r for r in mat if r[pivot_col] != 0), None)
-        if pivot is None:
-            pivot_col += 1
-            continue
-        mat.remove(pivot)
-        inv = Fraction(1) / pivot[pivot_col]
-        pivot = [v * inv for v in pivot]
-        mat = [
-            [v - r[pivot_col] * p for v, p in zip(r, pivot)] if r[pivot_col] else r
-            for r in mat
-        ]
-        out = [
-            [v - r[pivot_col] * p for v, p in zip(r, pivot)] if r[pivot_col] else r
-            for r in out
-        ]
-        out.append(pivot)
-        pivot_col += 1
-    return tuple(tuple(r) for r in out)
-
-
-def _in_span(vector, span) -> bool:
-    v = [Fraction(x) for x in vector]
-    for row in span:
-        lead = next((j for j, x in enumerate(row) if x != 0), None)
-        if lead is not None and v[lead] != 0:
-            f = v[lead]
-            v = [a - f * b for a, b in zip(v, row)]
-    return all(x == 0 for x in v)
-
-
-def char_poly_mobius(n: int) -> CharPoly:
-    """Independent oracle: build the intersection lattice and sum Moebius values.
-
-    Flats are identified with the row spans of the normal subsets cutting
-    them out; practical for n <= 3 only.
-    """
-    hyperplanes = [tuple(Fraction(x) for x in v) for v in normals(n)]
-    flats: dict[tuple, int] = {}  # rref span -> codimension
-    empty = _rref([])
-    flats[empty] = 0
-    frontier = [empty]
-    while frontier:
-        new = []
-        for span in frontier:
-            for h in hyperplanes:
-                if _in_span(h, span):
-                    continue
-                bigger = _rref(list(span) + [list(h)])
-                if bigger not in flats:
-                    flats[bigger] = len(bigger)
-                    new.append(bigger)
-        frontier = new
-    ordered = sorted(flats, key=len)
-    mobius: dict[tuple, int] = {}
-    for span in ordered:
-        below = sum(
-            mobius[other]
-            for other in ordered
-            if len(other) < len(span) and all(_in_span(row, span) for row in other)
-        )
-        mobius[span] = 1 if span == empty else -below
-    coeffs = [0] * (n + 1)
-    for span, mu in mobius.items():
-        dim = n - len(span)
-        coeffs[n - dim] += mu
-    return CharPoly(tuple(coeffs))
 
 
 # ---------------------------------------------------------------------------
@@ -401,8 +322,27 @@ def spanning_set_for_normal(v: tuple[int, ...]) -> list[tuple[int, ...]]:
 
 
 def _rank_int(rows: list[tuple[int, ...]]) -> int:
-    mat = [[Fraction(x) for x in r] for r in rows]
-    return len(_rref(mat))
+    """Rank of an integer matrix by fraction-free (Bareiss) elimination.
+
+    As in :func:`_det_int`, every update divides exactly by the previous
+    pivot; a column with no pivot left is skipped.
+    """
+    m = [list(r) for r in rows]
+    rank = 0
+    prev = 1
+    for col in range(len(m[0]) if m else 0):
+        swap = next((r for r in range(rank, len(m)) if m[r][col]), None)
+        if swap is None:
+            continue
+        m[rank], m[swap] = m[swap], m[rank]
+        pivot = m[rank]
+        for r in range(rank + 1, len(m)):
+            row = m[r]
+            f = row[col]
+            m[r] = [(v * pivot[col] - f * p) // prev for v, p in zip(row, pivot)]
+        prev = pivot[col]
+        rank += 1
+    return rank
 
 
 def verify_discriminantal(n: int) -> bool:

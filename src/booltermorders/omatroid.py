@@ -11,6 +11,7 @@ an order exactly when it passes the two addition conditions.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from typing import Iterable, Mapping
@@ -142,6 +143,46 @@ class LocalizationReport:
         return self.ok
 
 
+CHUNK = 5  # bits per chunk-table lookup in check_localization
+
+
+@functools.lru_cache(maxsize=None)
+def _localization_tables(n: int):
+    """Bitsets over the indices of ``sign_vectors(n)``, built once per n.
+
+    With m = n^2 roots, vector i's cocircuit is the 2m-bit word
+    ``words[i]``: bit r for + at root r, bit m + r for - at root r.
+    ``zero[r]`` is the bitset of the vectors whose cocircuit vanishes at r.
+    ``chunks`` splits the word into CHUNK-bit pieces: for the piece at
+    ``shift``, ``table[v]`` is the OR of the bitsets of the vectors having
+    a word bit among the bits v sets there.
+    """
+    vectors = sign_vectors(n)
+    m = n * n
+    words = []
+    zero = [0] * m
+    having = [0] * (2 * m)  # word bit -> the vectors whose word has it
+    for i, x in enumerate(vectors):
+        word = 0
+        for r, v in enumerate(cocircuit(x)):
+            if v == 0:
+                zero[r] |= 1 << i
+                continue
+            b = r if v > 0 else m + r
+            word |= 1 << b
+            having[b] |= 1 << i
+        words.append(word)
+    chunks = []
+    for shift in range(0, 2 * m, CHUNK):
+        bits = having[shift : shift + CHUNK]
+        table = [0] * (1 << len(bits))
+        for v in range(1, len(table)):
+            low = v & -v
+            table[v] = table[v ^ low] | bits[low.bit_length() - 1]
+        chunks.append((shift, table))
+    return vectors, words, zero, chunks
+
+
 def check_localization(sigma: Signature) -> LocalizationReport:
     """Weak cocircuit elimination over the nonnegative support of sigma.
 
@@ -149,36 +190,43 @@ def check_localization(sigma: Signature) -> LocalizationReport:
     the cocircuits clash in sign, some Z with sigma in {+,0} must vanish at
     that root and have cocircuit supports inside the union of supports.
     The search runs over all nonzero candidates, not just the constructed
-    ones.
+    ones, as bitsets over the sign-vector indices: the candidates are the
+    allowed vectors minus those with a cocircuit sign outside the union
+    (by chunk-table lookups), and a clashing root e needs one of them in
+    ``zero[e]``.  Pairs run in ``sign_vectors`` order and roots from low
+    to high, so the witness (X, Y, root index) is the first such failure.
     """
     n = sigma.n
-    allowed = sigma.nonnegative()
-    coc = {x: cocircuit(x) for x in sign_vectors(n)}
-    pos = {x: positive_part(coc[x]) for x in coc}
-    neg = {x: positive_part(tuple(-v for v in coc[x])) for x in coc}
-    supp = {x: pos[x] | neg[x] for x in coc}
-    for x in allowed:
-        for y in allowed:
-            if coc[y] == tuple(-v for v in coc[x]):
+    vectors, words, zero, chunks = _localization_tables(n)
+    m = n * n
+    full = (1 << 2 * m) - 1
+    mask = (1 << CHUNK) - 1
+    values = sigma.values
+    # each allowed vector as (index, the - half of its word, the bits outside its word)
+    rows = [
+        (i, w >> m, full & ~w)
+        for i, (x, w) in enumerate(zip(vectors, words))
+        if values[x] >= 0
+    ]
+    allowed = sum(1 << i for i, _, _ in rows)
+    opposite = len(vectors) - 1  # vectors[i] and vectors[opposite - i] are negatives
+    for i, _, cx in rows:
+        px = words[i] & (1 << m) - 1
+        for j, ny, cy in rows:
+            clash = px & ny
+            if not clash or i + j == opposite:
                 continue
-            clash = pos[x] & neg[y]
-            if not clash:
-                continue
-            punion = pos[x] | pos[y]
-            nunion = neg[x] | neg[y]
-            candidates = [
-                z
-                for z in allowed
-                if not pos[z] & ~punion and not neg[z] & ~nunion
-            ]
-            e = 0
+            outside = cx & cy
+            banned = 0
+            for shift, table in chunks:
+                banned |= table[outside >> shift & mask]
+            candidates = allowed & ~banned
             while clash:
-                if clash & 1:
-                    bit = 1 << e
-                    if not any(not supp[z] & bit for z in candidates):
-                        return LocalizationReport(False, (x, y, e))
-                clash >>= 1
-                e += 1
+                bit = clash & -clash
+                e = bit.bit_length() - 1
+                if not candidates & zero[e]:
+                    return LocalizationReport(False, (vectors[i], vectors[j], e))
+                clash ^= bit
     return LocalizationReport(True)
 
 

@@ -1,9 +1,15 @@
 import os
 
 import pytest
+from hypothesis import settings
 
 from booltermorders.coherence import is_coherent
 from booltermorders.enumeration import enumerate_orders
+
+# The property tests run exact solvers whose time varies a lot between
+# examples, so no per-example deadline applies.
+settings.register_profile("bto", deadline=None)
+settings.load_profile("bto")
 
 EXTENDED = os.environ.get("BTO_EXTENDED") == "1"
 

@@ -12,8 +12,16 @@ from typing import Iterator
 
 import numpy as np
 
+from booltermorders.arrangement import CharPoly, normals
 from booltermorders.baues import PartialTermOrder, PartialValidationReport
 from booltermorders.core import TermOrder, full_mask, relabel
+from booltermorders.omatroid import (
+    LocalizationReport,
+    Signature,
+    cocircuit,
+    positive_part,
+    sign_vectors,
+)
 
 
 def canonicalize_brute_force(order: TermOrder) -> TermOrder:
@@ -188,6 +196,125 @@ def slab_point_count(n: int, q: int) -> int:
         distinct = (np.diff(sums, axis=1) > 0).all(axis=1)
         total += int(distinct.sum())
     return total * (q - 1)
+
+
+def _rref(rows: list[list[Fraction]]) -> tuple[tuple[Fraction, ...], ...]:
+    mat = [list(r) for r in rows]
+    out = []
+    cols = len(mat[0]) if mat else 0
+    pivot_col = 0
+    while mat and pivot_col < cols:
+        pivot = next((r for r in mat if r[pivot_col] != 0), None)
+        if pivot is None:
+            pivot_col += 1
+            continue
+        mat.remove(pivot)
+        inv = Fraction(1) / pivot[pivot_col]
+        pivot = [v * inv for v in pivot]
+        mat = [
+            [v - r[pivot_col] * p for v, p in zip(r, pivot)] if r[pivot_col] else r
+            for r in mat
+        ]
+        out = [
+            [v - r[pivot_col] * p for v, p in zip(r, pivot)] if r[pivot_col] else r
+            for r in out
+        ]
+        out.append(pivot)
+        pivot_col += 1
+    return tuple(tuple(r) for r in out)
+
+
+def rank_by_rref(rows) -> int:
+    """Reference for ``arrangement._rank_int``: the rank of a ``Fraction`` rref."""
+    return len(_rref([[Fraction(x) for x in r] for r in rows]))
+
+
+def _in_span(vector, span) -> bool:
+    v = [Fraction(x) for x in vector]
+    for row in span:
+        lead = next((j for j, x in enumerate(row) if x != 0), None)
+        if lead is not None and v[lead] != 0:
+            f = v[lead]
+            v = [a - f * b for a, b in zip(v, row)]
+    return all(x == 0 for x in v)
+
+
+def char_poly_mobius(n: int) -> CharPoly:
+    """Independent oracle: build the intersection lattice and sum Moebius values.
+
+    Flats are identified with the row spans of the normal subsets cutting
+    them out; practical for n <= 3 only.
+    """
+    hyperplanes = [tuple(Fraction(x) for x in v) for v in normals(n)]
+    flats: dict[tuple, int] = {}  # rref span -> codimension
+    empty = _rref([])
+    flats[empty] = 0
+    frontier = [empty]
+    while frontier:
+        new = []
+        for span in frontier:
+            for h in hyperplanes:
+                if _in_span(h, span):
+                    continue
+                bigger = _rref(list(span) + [list(h)])
+                if bigger not in flats:
+                    flats[bigger] = len(bigger)
+                    new.append(bigger)
+        frontier = new
+    ordered = sorted(flats, key=len)
+    mobius: dict[tuple, int] = {}
+    for span in ordered:
+        below = sum(
+            mobius[other]
+            for other in ordered
+            if len(other) < len(span) and all(_in_span(row, span) for row in other)
+        )
+        mobius[span] = 1 if span == empty else -below
+    coeffs = [0] * (n + 1)
+    for span, mu in mobius.items():
+        dim = n - len(span)
+        coeffs[n - dim] += mu
+    return CharPoly(tuple(coeffs))
+
+
+def check_localization_tuples(sigma: Signature) -> LocalizationReport:
+    """Weak cocircuit elimination over the nonnegative support of sigma.
+
+    For every X, Y with sigma in {+,0}, not opposite, and every root where
+    the cocircuits clash in sign, some Z with sigma in {+,0} must vanish at
+    that root and have cocircuit supports inside the union of supports.
+    The search runs over all nonzero candidates, not just the constructed
+    ones.
+    """
+    n = sigma.n
+    allowed = sigma.nonnegative()
+    coc = {x: cocircuit(x) for x in sign_vectors(n)}
+    pos = {x: positive_part(coc[x]) for x in coc}
+    neg = {x: positive_part(tuple(-v for v in coc[x])) for x in coc}
+    supp = {x: pos[x] | neg[x] for x in coc}
+    for x in allowed:
+        for y in allowed:
+            if coc[y] == tuple(-v for v in coc[x]):
+                continue
+            clash = pos[x] & neg[y]
+            if not clash:
+                continue
+            punion = pos[x] | pos[y]
+            nunion = neg[x] | neg[y]
+            candidates = [
+                z
+                for z in allowed
+                if not pos[z] & ~punion and not neg[z] & ~nunion
+            ]
+            e = 0
+            while clash:
+                if clash & 1:
+                    bit = 1 << e
+                    if not any(not supp[z] & bit for z in candidates):
+                        return LocalizationReport(False, (x, y, e))
+                clash >>= 1
+                e += 1
+    return LocalizationReport(True)
 
 
 class _Unbounded(Exception):

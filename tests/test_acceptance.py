@@ -4,10 +4,10 @@ Extended (non-gating) runs at n = 6 are skipped unless BTO_EXTENDED=1.
 """
 
 import math
+import random
 
 import pytest
 
-from booltermorders.arrangement import char_poly_mobius
 from booltermorders.catalog import (
     coherence_isolated_six,
     five_flippable_six,
@@ -24,7 +24,7 @@ from booltermorders.coherence import (
     order_from_weight,
     verify_certificate,
 )
-from booltermorders.core import DisjointPair, mask_of, validate
+from booltermorders.core import DisjointPair, mask_of, relabel, validate
 from booltermorders.enumeration import enumerate_orders
 from booltermorders.flips import (
     flip,
@@ -41,7 +41,7 @@ from booltermorders.omatroid import (
 )
 from booltermorders.baues import coherent_above_only_trivial
 from conftest import extended
-from oracles import brute_force_orders
+from oracles import brute_force_orders, char_poly_mobius
 
 
 def _pair(l, r):
@@ -156,6 +156,28 @@ def test_criterion_07_localization_all_orders():
         "ACCEPTANCE 7: PASS — all valid orders at n<=4 pass localization "
         "and the mu-characterization (exhaustive)"
     )
+
+
+def test_criterion_07_localization_n5(canonical_orders):
+    classes = canonical_orders[5]
+    assert len(classes) == 546
+    for order in classes:
+        assert check_localization(mu_from_order(order))
+    # S_n permutes B_n, so a relabeled class must give the same verdict
+    rng = random.Random(7)
+    for order in rng.sample(classes, 30):
+        perm = rng.sample(range(5), 5)
+        assert check_localization(mu_from_order(relabel(order, perm)))
+    print(
+        "ACCEPTANCE 7: PASS — all 546 classes at n=5 (and 30 seeded "
+        "relabelings) pass localization"
+    )
+
+
+@extended
+def test_criterion_07_mu_conditions_n5(canonical_orders):
+    for order in canonical_orders[5]:
+        assert check_mu_conditions(mu_from_order(order))
 
 
 def test_criterion_08_nonorder_extension():

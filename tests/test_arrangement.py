@@ -8,7 +8,6 @@ from booltermorders.arrangement import (
     CharPoly,
     _primes_for,
     char_poly,
-    char_poly_mobius,
     normals,
     point_count,
     region_count,
@@ -16,7 +15,7 @@ from booltermorders.arrangement import (
     verify_discriminantal,
 )
 from conftest import extended
-from oracles import slab_point_count
+from oracles import char_poly_mobius, slab_point_count
 
 EXPECTED_FACTORED = {
     1: "(x-1)",

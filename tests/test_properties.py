@@ -1,18 +1,21 @@
-"""Property tests for the order LPs and the order-file boundary (hypothesis)."""
+"""Property tests for the order LPs, the order-file boundary, exact ranks and
+localization (hypothesis)."""
 
 import contextlib
 import functools
 import io
 import itertools
+import random
 import tempfile
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import assume, example, given, settings
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 from booltermorders import lp
+from booltermorders.arrangement import _rank_int
 from booltermorders.baues import (
     PartialTermOrder,
     _cone_is_zero,
@@ -20,6 +23,7 @@ from booltermorders.baues import (
     parse_partial,
     serialize_partial,
 )
+from booltermorders.catalog import noncoherent_five, nonorder_localization_three
 from booltermorders.cli import main
 from booltermorders.coherence import (
     CoherentOrderError,
@@ -36,12 +40,25 @@ from booltermorders.core import (
     format_subset,
     is_valid,
     parse_order,
+    relabel,
     serialize_order,
     validate,
 )
 from booltermorders.enumeration import enumerate_orders
 from booltermorders.flips import flip, flippable_pairs
-from oracles import fraction_solve_eq, is_valid_all_gammas
+from booltermorders.omatroid import (
+    Signature,
+    check_localization,
+    mu_from_order,
+    negate,
+    sign_vectors,
+)
+from oracles import (
+    check_localization_tuples,
+    fraction_solve_eq,
+    is_valid_all_gammas,
+    rank_by_rref,
+)
 
 
 def cone_is_zero_by_box_lps(rows, n):
@@ -86,7 +103,6 @@ def equality_programs(draw):
     return A, b, c
 
 
-@settings(deadline=None)
 @given(equality_programs())
 @example(([[1, 1], [1, 1]], [Fraction(1, 2)] * 2, [Fraction(1), Fraction(2)]))  # redundant
 @example(([[1, 1], [1, 1]], [1, 2], [0, 0]))  # infeasible
@@ -123,7 +139,6 @@ def test_farkas_matches_fraction_oracle(canonical_orders):
             assert lp.farkas_ge(rows, rhs) == farkas_by_fraction_oracle(rows, rhs)
 
 
-@settings(deadline=None)
 @given(
     st.lists(st.integers(1, 1000), min_size=1, max_size=5),
     st.lists(st.integers(0, 10**6), max_size=12),
@@ -155,7 +170,7 @@ def test_flip_walks_keep_orders_valid_and_decided(weights, picks):
 
 @functools.lru_cache(maxsize=None)
 def enumerated_classes(n):
-    """Canonical classes for n = 4, 5 and the first 2000 for n = 6."""
+    """Canonical classes for n <= 5 and the first 2000 for n = 6."""
     return list(itertools.islice(enumerate_orders(n, mode="canonical"), 2000))
 
 
@@ -181,7 +196,6 @@ def perturbed_orders(draw):
     return TermOrder.from_chain(n, chain)
 
 
-@settings(deadline=None)
 @given(perturbed_orders())
 def test_is_valid_matches_oracles_on_perturbed_orders(order):
     assert is_valid(order) == is_valid_all_gammas(order) == validate(order).ok
@@ -194,14 +208,99 @@ def sign_matrices(draw):
     return draw(st.lists(row, max_size=10)), n
 
 
-@settings(deadline=None)
 @given(sign_matrices())
 def test_cone_test_matches_box_lps(case):
     rows, n = case
     assert _cone_is_zero(rows, n) == cone_is_zero_by_box_lps(rows, n)
 
 
-@settings(deadline=None)
+@st.composite
+def matrices_with_repeats(draw):
+    """A {-1, 0, 1} matrix with some of its rows repeated and some zero rows."""
+    n = draw(st.integers(0, 6))
+    row = st.lists(st.integers(-1, 1), min_size=n, max_size=n)
+    rows = draw(st.lists(row, max_size=8))
+    if rows:
+        rows += draw(st.lists(st.sampled_from(rows), max_size=3))
+    rows += [[0] * n] * draw(st.integers(0, 2))
+    return draw(st.permutations(rows))
+
+
+@given(matrices_with_repeats())
+@example([[1, 1, 0, 1], [-1, -1, 1, 0], [1, 1, 1, -1]])  # the second column has no pivot
+def test_rank_int_matches_fraction_rref(rows):
+    assert _rank_int(rows) == rank_by_rref(rows)
+
+
+def perturb(sigma, edits):
+    """sigma with, for each (k, f), the antipodal pair of the k-th sign
+    vector multiplied by f: zeroed for f = 0, flipped for f = -1."""
+    vectors = sign_vectors(sigma.n)
+    values = dict(sigma.values)
+    for k, f in edits:
+        values[vectors[k]] *= f
+        values[negate(vectors[k])] *= f
+    return Signature(sigma.n, values)
+
+
+@st.composite
+def perturbed_signatures(draw):
+    """The signature of an enumerated order (n = 2..4, relabeled) or of a
+    tied partial order, with a few antipodal pairs zeroed or flipped."""
+    if draw(st.booleans()):
+        n = draw(st.integers(2, 4))
+        order = draw(st.sampled_from(enumerated_classes(n)))
+        order = relabel(order, draw(st.permutations(range(n))))
+    else:
+        weights = draw(st.lists(st.integers(1, 4), min_size=2, max_size=4))
+        order = PartialTermOrder.from_weight(weights)
+    half = 3**order.n // 2  # sign_vectors(n)[:half] holds one of each antipodal pair
+    edit = st.tuples(st.integers(0, half - 1), st.sampled_from([0, -1]))
+    return perturb(mu_from_order(order), draw(st.lists(edit, max_size=6)))
+
+
+def zeroed_n5(order, seed):
+    """An n=5 order signature with 40 seeded antipodal pairs zeroed."""
+    picks = random.Random(seed).sample(range(3**5 // 2), 40)
+    return perturb(mu_from_order(order), [(k, 0) for k in picks])
+
+
+ZEROED_N5 = [
+    zeroed_n5(order, seed)
+    for order in (noncoherent_five(), order_from_weight((1, 2, 4, 8, 16), 5))
+    for seed in (1, 2, 3)
+]
+
+
+def test_zeroed_n5_signatures_are_not_localizations():
+    assert not any(check_localization(sigma) for sigma in ZEROED_N5)
+
+
+@given(perturbed_signatures())
+@example(Signature.from_positives(3, nonorder_localization_three()))  # passes
+@example(ZEROED_N5[0])
+@example(ZEROED_N5[1])
+@example(ZEROED_N5[2])
+@example(ZEROED_N5[3])
+@example(ZEROED_N5[4])
+@example(ZEROED_N5[5])
+def test_localization_matches_tuple_oracle(sigma):
+    assert check_localization(sigma) == check_localization_tuples(sigma)
+
+
+@given(perturbed_signatures(), st.data())
+def test_localization_verdict_is_invariant_under_b_n(sigma, data):
+    # a signed permutation of the coordinates permutes and reorients the
+    # roots of B_n, which keeps weak elimination
+    n = sigma.n
+    perm = data.draw(st.permutations(range(n)))
+    signs = data.draw(st.lists(st.sampled_from([1, -1]), min_size=n, max_size=n))
+    moved = {
+        tuple(s * x[p] for s, p in zip(signs, perm)): v for x, v in sigma.values.items()
+    }
+    assert check_localization(Signature(n, moved)).ok == check_localization(sigma).ok
+
+
 @given(st.lists(st.integers(1, 10**6), min_size=1, max_size=5))
 def test_find_weight_induces_generic_order(weights):
     n = len(weights)
@@ -212,7 +311,6 @@ def test_find_weight_induces_generic_order(weights):
     assert order_from_weight(find_weight(order), n) == order
 
 
-@settings(deadline=None)
 @given(st.lists(st.integers(1, 5), max_size=4))
 def test_find_partial_weight_induces_tied_levels(weights):
     p = PartialTermOrder.from_weight(weights)
@@ -240,7 +338,6 @@ def order_texts(draw):
 file_texts = st.one_of(st.text(max_size=60), order_texts())
 
 
-@settings(deadline=None)
 @given(file_texts)
 def test_any_text_parses_or_raises_parse_error(text):
     for parse in (parse_order, parse_partial):
@@ -269,7 +366,6 @@ def test_parse_partial_inverts_serialize(weights):
     assert parse_partial(serialize_partial(p)).level == p.level
 
 
-@settings(deadline=None)
 @given(
     st.sampled_from(["validate", "coherence", "flips", "localize", "baues"]),
     file_texts,
