@@ -8,6 +8,7 @@ set required at position 0.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Sequence
 
@@ -70,7 +71,13 @@ def submasks(mask: int) -> Iterator[int]:
         sub = (sub - 1) & mask
 
 
+@functools.lru_cache(maxsize=1 << MAX_GROUND)
 def format_subset(mask: int) -> str:
+    """The file spelling of a subset: increasing elements joined by commas, or ``-``.
+
+    Memoized, so writing an order file costs one lookup per subset; the
+    cache holds at most as many entries as there are subsets of [MAX_GROUND].
+    """
     if mask == 0:
         return "-"
     return ",".join(str(e) for e in elements(mask))
@@ -206,7 +213,8 @@ def _singleton_axioms_hold(order: TermOrder) -> bool:
     chain = order.chain
     for e in range(order.n):
         bit = 1 << e
-        if [m for m in chain if m & bit] != [m | bit for m in chain if not m & bit]:
+        ranks = [rank[m | bit] for m in chain if not m & bit]
+        if ranks != sorted(ranks):
             return False
     return True
 
@@ -257,15 +265,18 @@ def require_valid(order: TermOrder) -> None:
 
 def relabel(order: TermOrder, perm: Sequence[int]) -> TermOrder:
     """Relabel ground elements; perm maps bit position i to perm[i]."""
-    size = len(order.rank)
-    image = [0] * size  # image[mask] = image[mask without its low bit] | image[low bit]
-    for mask in range(1, size):
-        low = mask & -mask
-        image[mask] = image[mask ^ low] | 1 << perm[low.bit_length() - 1]
-    rank = [0] * size
-    for mask, r in enumerate(order.rank):
-        rank[image[mask]] = r
-    return TermOrder(order.n, tuple(rank))
+    n = order.n
+    if sorted(perm) != list(range(n)):
+        raise ValueError(f"perm must be a permutation of 0..{n - 1}, got {list(perm)}")
+    old_pos = [0] * n
+    for i, j in enumerate(perm):
+        old_pos[j] = i
+    # source[mask] is the old mask that becomes mask, built one new bit at a time
+    source = [0]
+    for j in range(n):
+        bit = 1 << old_pos[j]
+        source += [m | bit for m in source]
+    return TermOrder(n, tuple(map(order.rank.__getitem__, source)))
 
 
 def canonicalize(order: TermOrder) -> TermOrder:
@@ -332,12 +343,15 @@ def read_levels(text: str) -> tuple[int, list[list[int]]]:
                         raise ParseError(f"bad subset element {part!r}", no) from None
     if not 0 <= n <= MAX_GROUND:
         raise ParseError(f"n={n} out of range 0..{MAX_GROUND}", header_no)
+    names = {format_subset(m): m for m in range(1 << n)}
     levels = []
     seen = set()
     for no, body in lines:
         group = []
         for part in body.split("="):
-            mask = parse_subset(part, n, line=no)
+            mask = names.get(part.strip())
+            if mask is None:  # another spelling, or not a subset of [n]
+                mask = parse_subset(part, n, line=no)
             if mask in seen:
                 raise ParseError(f"duplicate subset {part.strip()!r}", no)
             seen.add(mask)
@@ -360,6 +374,4 @@ def parse_order(text: str) -> TermOrder:
 
 
 def serialize_order(order: TermOrder) -> str:
-    lines = [f"n={order.n}"]
-    lines.extend(format_subset(mask) for mask in order.chain)
-    return "\n".join(lines) + "\n"
+    return "\n".join([f"n={order.n}", *map(format_subset, order.chain)]) + "\n"

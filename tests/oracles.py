@@ -8,13 +8,20 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from typing import Iterator
+from typing import Iterator, Sequence
 
 import numpy as np
 
 from booltermorders.arrangement import CharPoly, normals
 from booltermorders.baues import PartialTermOrder, PartialValidationReport
-from booltermorders.core import TermOrder, full_mask, relabel
+from booltermorders.core import (
+    MAX_GROUND,
+    ParseError,
+    TermOrder,
+    full_mask,
+    parse_subset,
+    relabel,
+)
 from booltermorders.omatroid import (
     LocalizationReport,
     Signature,
@@ -55,6 +62,80 @@ def is_valid_all_gammas(order: TermOrder) -> bool:
                 return False
             prev = r
     return True
+
+
+def singleton_axioms_two_lists(order: TermOrder) -> bool:
+    """Reference for ``core._singleton_axioms_hold``: for each element e, the
+    subsets with e, in chain order, are the subsets without e, in chain
+    order, each with e added."""
+    rank = order.rank
+    size = len(rank)
+    if sorted(rank) != list(range(size)) or rank[0] != 0:
+        return False
+    chain = order.chain
+    for e in range(order.n):
+        bit = 1 << e
+        if [m for m in chain if m & bit] != [m | bit for m in chain if not m & bit]:
+            return False
+    return True
+
+
+def relabel_image_table(order: TermOrder, perm: Sequence[int]) -> TermOrder:
+    """Reference for ``core.relabel``: the image of every mask, by its low bit."""
+    size = len(order.rank)
+    image = [0] * size  # image[mask] = image[mask without its low bit] | image[low bit]
+    for mask in range(1, size):
+        low = mask & -mask
+        image[mask] = image[mask ^ low] | 1 << perm[low.bit_length() - 1]
+    rank = [0] * size
+    for mask, r in enumerate(order.rank):
+        rank[image[mask]] = r
+    return TermOrder(order.n, tuple(rank))
+
+
+def read_levels_scan(text: str) -> tuple[int, list[list[int]]]:
+    """Reference for ``core.read_levels``: every subset through ``parse_subset``."""
+    lines: list[tuple[int, str]] = []
+    for no, raw in enumerate(text.splitlines(), start=1):
+        body = raw.partition("#")[0].strip()
+        if body:
+            if lines and body.startswith("n="):
+                raise ParseError("the n= header must be the first line", no)
+            lines.append((no, body))
+    if not lines:
+        raise ParseError("empty order file")
+    header_no = None
+    if lines[0][1].startswith("n="):
+        header_no, header = lines.pop(0)
+        try:
+            n = int(header[2:])
+        except ValueError:
+            raise ParseError(f"bad header {header!r}", header_no) from None
+    else:
+        n = 0
+        for no, body in lines:
+            for part in body.replace("=", ",").split(","):
+                if part.strip() != "-":
+                    try:
+                        n = max(n, int(part))
+                    except ValueError:
+                        raise ParseError(f"bad subset element {part!r}", no) from None
+    if not 0 <= n <= MAX_GROUND:
+        raise ParseError(f"n={n} out of range 0..{MAX_GROUND}", header_no)
+    levels = []
+    seen = set()
+    for no, body in lines:
+        group = []
+        for part in body.split("="):
+            mask = parse_subset(part, n, line=no)
+            if mask in seen:
+                raise ParseError(f"duplicate subset {part.strip()!r}", no)
+            seen.add(mask)
+            group.append(mask)
+        levels.append(group)
+    if len(seen) != 1 << n:
+        raise ParseError(f"expected {1 << n} subsets, got {len(seen)}")
+    return n, levels
 
 
 def brute_force_orders(n: int) -> list[TermOrder]:

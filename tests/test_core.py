@@ -119,6 +119,21 @@ def test_relabel_moves_elements():
             assert moved.rank[image] == order.rank[mask]
 
 
+@pytest.mark.parametrize(
+    "perm",
+    [
+        [0, 0, 1],  # a repeated position
+        [0, 1, 2, 3],  # one position too many
+        [0, 1],  # one position too few
+        [3, 1, 0],  # a position outside 0..2
+    ],
+)
+def test_relabel_rejects_non_permutations(perm):
+    order = lex_order(3)
+    with pytest.raises(ValueError, match=r"perm must be a permutation of 0\.\.2, got "):
+        relabel(order, perm)
+
+
 def test_complement_duality():
     for n in (2, 3, 4):
         for order in enumerate_orders(n, mode="canonical"):

@@ -37,9 +37,11 @@ from booltermorders.coherence import (
 from booltermorders.core import (
     ParseError,
     TermOrder,
+    elements,
     format_subset,
     is_valid,
     parse_order,
+    read_levels,
     relabel,
     serialize_order,
     validate,
@@ -58,6 +60,9 @@ from oracles import (
     fraction_solve_eq,
     is_valid_all_gammas,
     rank_by_rref,
+    read_levels_scan,
+    relabel_image_table,
+    singleton_axioms_two_lists,
 )
 
 
@@ -181,7 +186,7 @@ def perturbed_orders(draw):
     The two middle sets are complements, so swapping them keeps the order
     valid; most other swaps break it.
     """
-    n = draw(st.integers(4, 6))
+    n = draw(st.integers(2, 6))
     chain = list(draw(st.sampled_from(enumerated_classes(n))).chain)
     size = len(chain)
     kind = draw(st.sampled_from(["middle", "neighbours", "any"]))
@@ -198,7 +203,29 @@ def perturbed_orders(draw):
 
 @given(perturbed_orders())
 def test_is_valid_matches_oracles_on_perturbed_orders(order):
-    assert is_valid(order) == is_valid_all_gammas(order) == validate(order).ok
+    assert (
+        is_valid(order)
+        == singleton_axioms_two_lists(order)
+        == is_valid_all_gammas(order)
+        == validate(order).ok
+    )
+
+
+@st.composite
+def relabelings(draw):
+    """An enumerated order (n = 1..6) or a perturbed one, and a permutation."""
+    if draw(st.booleans()):
+        order = draw(st.sampled_from(enumerated_classes(draw(st.integers(1, 6)))))
+    else:
+        order = draw(perturbed_orders())
+    return order, draw(st.permutations(range(order.n)))
+
+
+@given(relabelings())
+@example((TermOrder(0, (0,)), []))
+def test_relabel_matches_image_table(case):
+    order, perm = case
+    assert relabel(order, perm) == relabel_image_table(order, perm)
 
 
 @st.composite
@@ -317,6 +344,15 @@ def test_find_partial_weight_induces_tied_levels(weights):
     assert PartialTermOrder.from_weight(find_partial_weight(p)).level == p.level
 
 
+def spellings(mask):
+    """The file spelling of a subset, or one that only parse_subset reads."""
+    if mask == 0:
+        return st.just(format_subset(0))
+    return st.sampled_from(["{}", " {} ", "+{}", "0{}"]).map(
+        lambda form: ",".join(form.format(e) for e in elements(mask))
+    )
+
+
 @st.composite
 def order_texts(draw):
     """Text near the order-file format: header, '='-joined levels, comments, noise."""
@@ -325,7 +361,7 @@ def order_texts(draw):
     lines = []
     while masks:
         k = draw(st.integers(1, 3))
-        lines.append("=".join(format_subset(m) for m in masks[:k]))
+        lines.append("=".join(draw(spellings(m)) for m in masks[:k]))
         masks = masks[k:]
     if draw(st.booleans()):
         lines.insert(0, f"n={draw(st.integers(-2, 20))}")
@@ -339,7 +375,17 @@ file_texts = st.one_of(st.text(max_size=60), order_texts())
 
 
 @given(file_texts)
+@example("n=3\n-\n+1\n02\n 1 , 2 \n3\n1,3\n2,3\n1,2,3")
+@example("n=2\n-\n1\n2 = 01\n1,2")  # the duplicate is found through parse_subset
 def test_any_text_parses_or_raises_parse_error(text):
+    try:
+        expected = read_levels_scan(text)
+    except ParseError as exc:
+        with pytest.raises(ParseError) as info:
+            read_levels(text)
+        assert str(info.value) == str(exc)
+    else:
+        assert read_levels(text) == expected
     for parse in (parse_order, parse_partial):
         try:
             order = parse(text)
