@@ -10,7 +10,7 @@ induce partial orders by grouping equal subset sums.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 from . import lp
@@ -20,10 +20,11 @@ from .core import (
     OrderError,
     ParseError,
     TermOrder,
+    ValidationReport,
     format_subset,
-    full_mask,
     read_levels,
     require_valid,
+    union_violation,
 )
 from .coherence import _difference_rows, _lex_min_weight, subset_sum
 
@@ -100,55 +101,30 @@ class PartialTermOrder:
         return TermOrder(self.n, self.level)
 
 
-@dataclass
-class PartialValidationReport:
-    ok: bool
-    violations: list[tuple] = field(default_factory=list)
-
-    def __bool__(self) -> bool:
-        return self.ok
-
-
-def validate_partial(order: PartialTermOrder) -> PartialValidationReport:
+def validate_partial(order: PartialTermOrder) -> ValidationReport:
     """Check disjoint-union compatibility of the level map.
 
     For disjoint alpha, beta, gamma the comparison of alpha and beta must
-    equal that of alpha + gamma and beta + gamma.  The first violating
-    triple found is reported.
+    equal that of alpha + gamma and beta + gamma.  One violating triple is
+    reported, found by :func:`core.union_violation`.
     """
-    level = order.level
-    fm = full_mask(order.n)
-    for a in range(fm + 1):
-        rest = fm & ~a
-        b = rest
-        while b:
-            ca = level[a]
-            cb = level[b]
-            base = (ca > cb) - (ca < cb)
-            free = rest & ~b
-            g = free
-            while g:
-                la, lb = level[a | g], level[b | g]
-                if (la > lb) - (la < lb) != base:
-                    return PartialValidationReport(False, [(a, b, g)])
-                g = (g - 1) & free
-            b = (b - 1) & rest
-    return PartialValidationReport(True)
+    found = union_violation(order.level, order.n)
+    if found is None:
+        return ValidationReport(True)
+    return ValidationReport(False, violations=[found])
 
 
 def refines(fine: PartialTermOrder, coarse: PartialTermOrder) -> bool:
-    """True when every strict comparison of ``coarse`` holds in ``fine``."""
+    """True when every strict comparison of ``coarse`` holds in ``fine``.
+
+    That is, the coarse level is a non-decreasing function of the fine
+    level: among the distinct (fine, coarse) level pairs, sorted, the fine
+    levels increase strictly and the coarse levels never decrease.
+    """
     if fine.n != coarse.n:
         raise ValueError("ground sets differ")
-    lf, lc = fine.level, coarse.level
-    size = 1 << fine.n
-    for a in range(size):
-        for b in range(a + 1, size):
-            if lc[a] < lc[b] and not lf[a] < lf[b]:
-                return False
-            if lc[b] < lc[a] and not lf[b] < lf[a]:
-                return False
-    return True
+    pairs = sorted(set(zip(fine.level, coarse.level)))
+    return all(f < f2 and c <= c2 for (f, c), (f2, c2) in zip(pairs, pairs[1:]))
 
 
 def is_coherent_partial(order: PartialTermOrder) -> bool:

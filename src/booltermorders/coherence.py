@@ -185,9 +185,7 @@ def noncoherence_certificate(order: TermOrder) -> Certificate:
     lam = lp.farkas_ge(rows, rhs)
     if lam is None:
         raise CoherentOrderError("order is coherent; no certificate exists")
-    denom = reduce(math.lcm, (v.denominator for v in lam), 1)
-    mults = [int(v * denom) for v in lam]
-    g = reduce(math.gcd, mults)
+    mults = _to_integer_weights(lam)
     chain = order.chain
     combined: dict[tuple[int, int], int] = {}
     for k, m in enumerate(mults):
@@ -197,7 +195,7 @@ def noncoherence_certificate(order: TermOrder) -> Certificate:
             left, right = reduced_pair(chain[k], chain[k + 1])
         else:
             left, right = 0, 1 << (k - (len(chain) - 1))  # unit row: {} < {i}
-        combined[(left, right)] = combined.get((left, right), 0) + m // g
+        combined[(left, right)] = combined.get((left, right), 0) + m
     cert = Certificate(
         pairs=tuple(DisjointPair(l, r) for l, r in sorted(combined)),
         multiplicities=tuple(combined[key] for key in sorted(combined)),

@@ -51,6 +51,8 @@ def mask_of(elements: Iterable[int]) -> int:
 
 def elements(mask: int) -> tuple[int, ...]:
     """Elements of the subset, increasing."""
+    if mask < 0:
+        raise ValueError(f"negative mask {mask}")
     out = []
     e = 1
     while mask:
@@ -111,6 +113,8 @@ class DisjointPair:
     right: int
 
     def __post_init__(self):
+        if self.left < 0 or self.right < 0:
+            raise ValueError("pair sides must be nonnegative masks")
         if self.left & self.right:
             raise ValueError("pair sides must be disjoint")
         if self.left == 0 and self.right == 0:
@@ -176,15 +180,14 @@ class TermOrder:
         """The chain as one-subset levels, as in a partial order."""
         return [[mask] for mask in self.chain]
 
-    def precedes(self, a: int, b: int) -> bool:
-        return self.rank[a] < self.rank[b]
-
 
 @dataclass
 class ValidationReport:
+    """A verdict; ``violations`` holds at most one triple, see :func:`validate`."""
+
     ok: bool
     structural: list[str] = field(default_factory=list)
-    violations: list[tuple[int, int, int]] = field(default_factory=list)
+    violations: list[tuple[int, ...]] = field(default_factory=list)
 
     def __bool__(self) -> bool:
         return self.ok
@@ -193,65 +196,87 @@ class ValidationReport:
 def is_valid(order: TermOrder) -> bool:
     """Fast check of the term-order axioms (no violation report).
 
-    The union axiom is checked for the singletons gamma = {e} only: adding e
-    to the subsets without e keeps their chain order.  That suffices, since
-    alpha ≺ beta gives alpha ∪ gamma ≺ beta ∪ gamma by adding the elements
-    of gamma one at a time, each disjoint from both growing sides.  The
-    answer is memoized on the order (see :class:`TermOrder`).
+    The union axiom is checked by one scan per element (see
+    :func:`_first_violation`).  The answer is memoized on the order (see
+    :class:`TermOrder`).
     """
     valid = order.__dict__.get("_valid")
     if valid is None:
-        valid = order.__dict__["_valid"] = _singleton_axioms_hold(order)
+        rank = order.rank
+        valid = order.__dict__["_valid"] = (
+            sorted(rank) == list(range(len(rank)))
+            and rank[0] == 0
+            and _first_violation(rank, rank, order.chain, order.n) is None
+        )
     return valid
 
 
-def _singleton_axioms_hold(order: TermOrder) -> bool:
-    rank = order.rank
-    size = len(rank)
-    if sorted(rank) != list(range(size)) or rank[0] != 0:
-        return False
-    chain = order.chain
-    for e in range(order.n):
+def _first_violation(level, rank, chain, n) -> tuple[int, int, int] | None:
+    """A triple (a, b, g) that breaks the union axiom on ``level``, or None.
+
+    ``chain`` lists every mask by increasing ``rank``, a tie-free split of
+    ``level``.  For each element e, the masks without e are taken in chain
+    order and e is added to each; the images must keep the rank order.
+    That suffices, since alpha ≺ beta gives alpha ∪ gamma ≺ beta ∪ gamma by
+    adding the elements of gamma one at a time.  At the first neighbours m,
+    m2 whose images come out reversed, the comparison under ``level``
+    changes; with c = m ∩ m2, a = m − c and b = m2 − c, it changes either
+    between (a, b) and (a + c, b + c), or between (a, b) and (a + c + e,
+    b + c + e).  The triple is ordered with a not above b.
+    """
+    for e in range(n):
         bit = 1 << e
         ranks = [rank[m | bit] for m in chain if not m & bit]
         if ranks != sorted(ranks):
-            return False
-    return True
+            i = next(i for i in range(len(ranks) - 1) if ranks[i] > ranks[i + 1])
+            m, m2 = [m for m in chain if not m & bit][i : i + 2]
+            c = m & m2
+            a, b = m ^ c, m2 ^ c
+            if _cmp(level[a], level[b]) == _cmp(level[m], level[m2]):
+                c |= bit
+            return (b, a, c) if level[a] > level[b] else (a, b, c)
+    return None
+
+
+def _cmp(x: int, y: int) -> int:
+    return (x > y) - (x < y)
+
+
+def union_violation(level: Sequence[int], n: int) -> tuple[int, int, int] | None:
+    """A triple that breaks the union axiom on a level array with ties, or None.
+
+    The ties are split twice, by ascending and by descending mask, and each
+    split is scanned by :func:`_first_violation`.  A tie may become a step
+    up under the first split and a step down under the second, so keeping
+    both keeps it a tie; a step that became a tie breaks one of the two.
+    """
+    size = 1 << n
+    for sign in (1, -1):
+        chain = sorted(range(size), key=lambda m: (level[m], sign * m))
+        rank = [0] * size
+        for pos, mask in enumerate(chain):
+            rank[mask] = pos
+        found = _first_violation(level, rank, chain, n)
+        if found is not None:
+            return found
+    return None
 
 
 def validate(order: TermOrder) -> ValidationReport:
-    """Check the axioms, reporting structural problems and violating triples.
+    """Check the axioms, reporting structural problems and one violating triple.
 
-    Structural problems (rank not a permutation) are reported separately
-    from axiom violations.  Each axiom-2 violation is reported as a triple
-    (alpha, beta, gamma) of pairwise-disjoint masks with alpha below beta
-    but alpha|gamma not below beta|gamma; a breach of the empty-set axiom
-    is reported as a structural message.
+    Structural problems (rank not a permutation, the empty set not first)
+    are messages.  A breach of the union axiom is the triple (alpha, beta,
+    gamma) of :func:`_first_violation`: pairwise disjoint, gamma nonempty,
+    alpha below beta but alpha ∪ gamma not below beta ∪ gamma.
     """
     rank = order.rank
-    size = len(rank)
-    report = ValidationReport(ok=True)
-    if sorted(rank) != list(range(size)):
-        report.structural.append("rank array is not a permutation of 0..2^n-1")
-        report.ok = False
-        return report
-    if rank[0] != 0:
-        report.structural.append(f"empty set has rank {rank[0]}, expected 0")
-        report.ok = False
-    full = size - 1
-    for gamma in range(size):
-        rest = full & ~gamma
-        for alpha in submasks(rest):
-            for beta in submasks(rest & ~alpha):
-                if alpha == beta:
-                    continue
-                if (rank[alpha] < rank[beta]) != (
-                    rank[alpha | gamma] < rank[beta | gamma]
-                ):
-                    if rank[alpha] < rank[beta]:
-                        report.violations.append((alpha, beta, gamma))
-                    report.ok = False
-    return report
+    if sorted(rank) != list(range(len(rank))):
+        return ValidationReport(False, ["rank array is not a permutation of 0..2^n-1"])
+    structural = [f"empty set has rank {rank[0]}, expected 0"] if rank[0] else []
+    found = _first_violation(rank, rank, order.chain, order.n)
+    violations = [] if found is None else [found]
+    return ValidationReport(not structural and not violations, structural, violations)
 
 
 def require_valid(order: TermOrder) -> None:

@@ -104,21 +104,17 @@ def _chains(n: int) -> Iterator[tuple[int, ...]]:
         yield from _extension_chains(chain, n)
 
 
-def enumerate_orders(
-    n: int, mode: str = "all", verify: bool | None = None
-) -> Iterator[TermOrder]:
+def enumerate_orders(n: int, mode: str = "all") -> Iterator[TermOrder]:
     """Stream every valid order on [n] exactly once.
 
     ``mode="canonical"`` emits one representative per relabeling class (the
-    canonical one); ``mode="all"`` emits every labeling.  With ``verify``
-    (default: on for n <= 5) each emitted order is checked by :func:`is_valid`.
+    canonical one); ``mode="all"`` emits every labeling.  For n <= 5 each
+    emitted order is checked by :func:`is_valid`.
     """
     if not 0 <= n <= MAX_ENUM:
         raise ValueError(f"n must be in 0..{MAX_ENUM}, got {n}")
     if mode not in ("all", "canonical"):
         raise ValueError(f"unknown mode {mode!r}")
-    if verify is None:
-        verify = n <= 5
     perms = (
         [None]
         if mode == "canonical"
@@ -126,7 +122,7 @@ def enumerate_orders(
     )
     for chain in _chains(n):
         order = TermOrder.from_chain(n, chain)
-        if verify and not is_valid(order):
+        if n <= 5 and not is_valid(order):
             raise AssertionError(f"enumeration produced an invalid order: {chain}")
         for perm in perms:
             yield order if perm is None else relabel(order, perm)

@@ -13,11 +13,12 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from booltermorders.arrangement import CharPoly, normals
-from booltermorders.baues import PartialTermOrder, PartialValidationReport
+from booltermorders.baues import PartialTermOrder
 from booltermorders.core import (
     MAX_GROUND,
     ParseError,
     TermOrder,
+    ValidationReport,
     full_mask,
     parse_subset,
     relabel,
@@ -64,8 +65,22 @@ def is_valid_all_gammas(order: TermOrder) -> bool:
     return True
 
 
+def is_union_violation(level: Sequence[int], triple: tuple[int, int, int]) -> bool:
+    """Whether (a, b, g) witnesses a breach of the union axiom on ``level``.
+
+    The masks must be pairwise disjoint, g nonempty, and the comparison of
+    a and b must differ from that of a + g and b + g.
+    """
+    a, b, g = triple
+    if a & b or a & g or b & g or not g:
+        return False
+    before = (level[a] > level[b]) - (level[a] < level[b])
+    after = (level[a | g] > level[b | g]) - (level[a | g] < level[b | g])
+    return before != after
+
+
 def singleton_axioms_two_lists(order: TermOrder) -> bool:
-    """Reference for ``core._singleton_axioms_hold``: for each element e, the
+    """Reference for ``core.is_valid``'s singleton scan: for each element e, the
     subsets with e, in chain order, are the subsets without e, in chain
     order, each with e added."""
     rank = order.rank
@@ -218,7 +233,7 @@ def extension_chains_dict(chain: tuple[int, ...], n: int) -> Iterator[tuple[int,
     return place(0, 0)
 
 
-def validate_partial_quadruples(order: PartialTermOrder) -> PartialValidationReport:
+def validate_partial_quadruples(order: PartialTermOrder) -> ValidationReport:
     """Check a partial order through same-level splittings.
 
     Whenever a + c and b + d share a level (or coincide), with a disjoint
@@ -242,8 +257,21 @@ def validate_partial_quadruples(order: PartialTermOrder) -> PartialValidationRep
             if level[u] != level[v] and u != v:
                 continue
             if level[b] < level[a] and not level[c] < level[d]:
-                return PartialValidationReport(False, [(a, b, c, d)])
-    return PartialValidationReport(True, [])
+                return ValidationReport(False, violations=[(a, b, c, d)])
+    return ValidationReport(True)
+
+
+def refines_pairs(fine: PartialTermOrder, coarse: PartialTermOrder) -> bool:
+    """Reference for ``baues.refines``: every pair of subsets, both ways."""
+    lf, lc = fine.level, coarse.level
+    size = 1 << fine.n
+    for a in range(size):
+        for b in range(a + 1, size):
+            if lc[a] < lc[b] and not lf[a] < lf[b]:
+                return False
+            if lc[b] < lc[a] and not lf[b] < lf[a]:
+                return False
+    return True
 
 
 def slab_point_count(n: int, q: int) -> int:

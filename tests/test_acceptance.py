@@ -60,7 +60,7 @@ def test_criterion_01_counts_table(canonical_orders, coherent_counts):
 def test_criterion_01_extended_n6():
     classes = 0
     coherent = 0
-    for order in enumerate_orders(6, mode="canonical", verify=False):
+    for order in enumerate_orders(6, mode="canonical"):
         classes += 1
         if is_coherent(order):
             coherent += 1

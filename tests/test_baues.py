@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 
 from booltermorders.baues import (
@@ -19,7 +21,7 @@ from booltermorders.catalog import (
 from booltermorders.coherence import find_weight
 from booltermorders.core import OrderError, ParseError
 from booltermorders.enumeration import enumerate_orders
-from oracles import validate_partial_quadruples
+from oracles import is_union_violation, validate_partial_quadruples
 
 
 def test_from_weight_groups_ties():
@@ -54,6 +56,20 @@ def test_validate_partial_routes_agree():
     bad = PartialTermOrder(2, (0, 1, 2, 1))
     assert not validate_partial(bad)
     assert not validate_partial_quadruples(bad)
+    # all 13 ordered partitions of the nonempty subsets of [2] above the empty set
+    partitions = {
+        (0,) + tuple(sorted(set(levels)).index(lvl) + 1 for lvl in levels)
+        for levels in itertools.product(range(1, 4), repeat=3)
+    }
+    assert len(partitions) == 13
+    for level in partitions:
+        order = PartialTermOrder(2, level)
+        report = validate_partial(order)
+        assert report.ok == validate_partial_quadruples(order).ok
+        assert len(report.violations) == (not report.ok)
+        for triple in report.violations:
+            assert is_union_violation(level, triple)
+            assert level[triple[0]] <= level[triple[1]]
 
 
 def test_refinement():

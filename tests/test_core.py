@@ -10,6 +10,7 @@ from booltermorders.core import (
     canonicalize,
     complement,
     elements,
+    format_subset,
     full_mask,
     is_canonical,
     is_valid,
@@ -21,7 +22,8 @@ from booltermorders.core import (
     validate,
 )
 from booltermorders.enumeration import enumerate_orders
-from oracles import canonicalize_brute_force, is_valid_all_gammas
+from oracles import canonicalize_brute_force, is_union_violation, is_valid_all_gammas
+
 
 
 def lex_order(n):
@@ -50,7 +52,9 @@ def test_validate_catches_union_violation():
     order = TermOrder.from_chain(3, chain)
     report = validate(order)
     assert not report
-    assert report.violations
+    [triple] = report.violations
+    assert is_union_violation(order.rank, triple)
+    assert order.rank[triple[0]] < order.rank[triple[1]]
     assert not is_valid(order)
 
 
@@ -77,7 +81,12 @@ def test_is_valid_matches_oracles_on_every_n3_chain():
     for perm in itertools.permutations(range(1, 8)):
         order = TermOrder.from_chain(3, (0,) + perm)
         valid = is_valid(order)
-        assert valid == is_valid_all_gammas(order) == validate(order).ok
+        report = validate(order)
+        assert valid == is_valid_all_gammas(order) == report.ok
+        assert len(report.violations) == (not valid)
+        for triple in report.violations:
+            assert is_union_violation(order.rank, triple)
+            assert order.rank[triple[0]] < order.rank[triple[1]]
         found += valid
     assert found == 12
 
@@ -148,6 +157,15 @@ def test_disjoint_pair_invariants():
     with pytest.raises(ValueError):
         DisjointPair(0, 0)
     assert str(DisjointPair(0b1000, 0b0011)) == "4 < 1,2"
+    with pytest.raises(ValueError, match="nonnegative"):
+        DisjointPair(-2, 1)  # once accepted, then str() spun forever
+
+
+def test_negative_masks_are_rejected():
+    with pytest.raises(ValueError, match="negative mask"):
+        elements(-1)
+    with pytest.raises(ValueError, match="negative mask"):
+        format_subset(-1)
 
 
 def test_reduced_pair():

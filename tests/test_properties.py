@@ -21,7 +21,9 @@ from booltermorders.baues import (
     _cone_is_zero,
     find_partial_weight,
     parse_partial,
+    refines,
     serialize_partial,
+    validate_partial,
 )
 from booltermorders.catalog import noncoherent_five, nonorder_localization_three
 from booltermorders.cli import main
@@ -58,11 +60,14 @@ from booltermorders.omatroid import (
 from oracles import (
     check_localization_tuples,
     fraction_solve_eq,
+    is_union_violation,
     is_valid_all_gammas,
     rank_by_rref,
     read_levels_scan,
+    refines_pairs,
     relabel_image_table,
     singleton_axioms_two_lists,
+    validate_partial_quadruples,
 )
 
 
@@ -342,6 +347,68 @@ def test_find_weight_induces_generic_order(weights):
 def test_find_partial_weight_induces_tied_levels(weights):
     p = PartialTermOrder.from_weight(weights)
     assert PartialTermOrder.from_weight(find_partial_weight(p)).level == p.level
+
+
+def contiguous(level):
+    """The level array renumbered 0, 1, ... in the same order."""
+    used = sorted(set(level))
+    return tuple(used.index(lvl) for lvl in level)
+
+
+@st.composite
+def tied_level_arrays(draw, max_n=3):
+    """Levels of a tied weight vector, kept, or with one subset moved to
+    another level, or with two neighbouring levels merged; valid or not."""
+    n = draw(st.integers(1, max_n))
+    weights = draw(st.lists(st.integers(1, 3), min_size=n, max_size=n))
+    level = list(PartialTermOrder.from_weight(weights).level)
+    top = max(level)
+    kind = draw(st.sampled_from(["keep", "move", "merge"]))
+    if kind == "move":
+        level[draw(st.integers(1, len(level) - 1))] = draw(st.integers(1, top))
+    elif kind == "merge" and top >= 2:
+        low = draw(st.integers(1, top - 1))
+        level = [lvl - (lvl > low) for lvl in level]
+    return PartialTermOrder(n, contiguous(level))
+
+
+@given(tied_level_arrays())
+@example(PartialTermOrder(2, (0, 1, 2, 1)))  # {1}={1,2} without {-}={2}
+@example(PartialTermOrder(2, (0, 1, 1, 1)))  # a step {-}<{1} that became a tie
+def test_validate_partial_matches_quadruple_oracle(order):
+    report = validate_partial(order)
+    assert report.ok == validate_partial_quadruples(order).ok
+    assert len(report.violations) == (not report.ok)
+    for triple in report.violations:
+        assert is_union_violation(order.level, triple)
+        assert order.level[triple[0]] <= order.level[triple[1]]
+
+
+@st.composite
+def coarsenings(draw):
+    """A level array and a coarsening of it: neighbouring levels above the
+    empty set merged at random, then perhaps one subset moved, or the trivial
+    partition."""
+    fine = draw(tied_level_arrays(max_n=4))
+    if draw(st.integers(0, 9)) == 0:
+        return fine, PartialTermOrder.trivial(fine.n), True
+    coarse_of = [0, 1]
+    for _ in range(max(fine.level) - 1):
+        coarse_of.append(coarse_of[-1] + draw(st.booleans()))
+    level = [coarse_of[lvl] for lvl in fine.level]
+    moved = draw(st.booleans())
+    if moved:
+        level[draw(st.integers(1, len(level) - 1))] = draw(st.integers(1, max(level)))
+    return fine, PartialTermOrder(fine.n, contiguous(level)), not moved
+
+
+@given(coarsenings())
+def test_refines_matches_pair_oracle(case):
+    fine, coarse, merged_only = case
+    assert refines(fine, coarse) == refines_pairs(fine, coarse)
+    assert refines(coarse, fine) == refines_pairs(coarse, fine)
+    if merged_only:
+        assert refines(fine, coarse)
 
 
 def spellings(mask):
