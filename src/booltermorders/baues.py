@@ -152,8 +152,10 @@ def _cone_is_zero(rows: list[list[int]], n: int) -> bool:
     It is exactly when the rows positively span R^n, and by Davis (1954)
     that holds iff they have rank n and some lam >= 1 has lam.rows = 0.
     Writing lam = 1 + mu, the second condition is the feasibility of
-    sum_j mu_j row_j = -sum_j row_j with mu >= 0, an LP with n rows.
+    sum_j mu_j row_j = -sum_j row_j with mu >= 0, an LP with n rows;
+    repeated rows change neither condition, so each row enters once.
     """
+    rows = [list(row) for row in dict.fromkeys(map(tuple, rows))]
     if _rank_int(rows) < n:
         return False
     target = [-sum(row[i] for row in rows) for i in range(n)]

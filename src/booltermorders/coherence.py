@@ -101,31 +101,34 @@ def _difference_rows(order) -> list[list[int]]:
     return [_indicator_difference(a, b, order.n) for a, b in zip(firsts, firsts[1:])]
 
 
-def _constraints(order) -> tuple[list[list[int]], list[int]]:
-    """The weight program A w >= b of a total or partial order.
+def _comparisons(order) -> list[tuple[int, int, int]]:
+    """The weight program as distinct comparisons w(right) - w(left) >= rhs.
 
-    Rows in order: a step row >= 1 per pair of consecutive levels, then
-    w_i >= 1 when the empty set is alone at the bottom, then each tie with
-    its level's first subset as a pair of opposite rows >= 0.  Transitivity
-    supplies the other comparisons, so the solutions are the weights
-    inducing exactly the order's levels.  The empty set shares a level only
-    in the one-level order, whose ties force w = 0.
+    In first-occurrence order: the reduced pair of each two consecutive
+    levels (first subsets) with rhs 1, then ({}, {i}, 1) when the empty set
+    is alone at the bottom, then both directions of each tie with its
+    level's first subset, rhs 0.  Transitivity supplies the rest, so the
+    solutions induce exactly the levels (the one-level order forces w = 0).
+    Under Bland's rule a repeated row never enters a basis, so dropping
+    repeats leaves every pivot, weight and certificate unchanged.
     """
-    n = order.n
     levels = order.levels
-    rows = _difference_rows(order)
+    firsts = [group[0] for group in levels]
+    comps = [(*reduced_pair(a, b), 1) for a, b in zip(firsts, firsts[1:])]
     if len(levels[0]) == 1:
-        for i in range(n):
-            unit = [0] * n
-            unit[i] = 1
-            rows.append(unit)
-    rhs = [1] * len(rows)
+        comps += [(0, 1 << i, 1) for i in range(order.n)]
     for group in levels:
         for other in group[1:]:
-            tie = _indicator_difference(group[0], other, n)
-            rows += [tie, [-v for v in tie]]
-            rhs += [0, 0]
-    return rows, rhs
+            left, right = reduced_pair(group[0], other)
+            comps += [(left, right, 0), (right, left, 0)]
+    return list(dict.fromkeys(comps))
+
+
+def _constraints(order, comps=None) -> tuple[list[list[int]], list[int]]:
+    """The weight program A w >= b, one row per :func:`_comparisons` entry."""
+    comps = _comparisons(order) if comps is None else comps
+    rows = [_indicator_difference(left, right, order.n) for left, right, _ in comps]
+    return rows, [rhs for _, _, rhs in comps]
 
 
 def _to_integer_weights(w: list[Fraction]) -> tuple[int, ...]:
@@ -177,28 +180,19 @@ def noncoherence_certificate(order: TermOrder) -> Certificate:
     """Extract a cancellation certificate from the Farkas dual.
 
     Raises CoherentOrderError if the order is coherent.  The dual solution
-    is cleared to integers and duplicate reduced pairs are merged; the
+    is cleared to integers and read off the distinct comparisons; the
     result always passes :func:`verify_certificate`.
     """
     require_valid(order)
-    rows, rhs = _constraints(order)
-    lam = lp.farkas_ge(rows, rhs)
+    comps = _comparisons(order)
+    lam = lp.farkas_ge(*_constraints(order, comps))
     if lam is None:
         raise CoherentOrderError("order is coherent; no certificate exists")
     mults = _to_integer_weights(lam)
-    chain = order.chain
-    combined: dict[tuple[int, int], int] = {}
-    for k, m in enumerate(mults):
-        if m == 0:
-            continue
-        if k < len(chain) - 1:
-            left, right = reduced_pair(chain[k], chain[k + 1])
-        else:
-            left, right = 0, 1 << (k - (len(chain) - 1))  # unit row: {} < {i}
-        combined[(left, right)] = combined.get((left, right), 0) + m
+    used = sorted((left, right, m) for (left, right, _), m in zip(comps, mults) if m)
     cert = Certificate(
-        pairs=tuple(DisjointPair(l, r) for l, r in sorted(combined)),
-        multiplicities=tuple(combined[key] for key in sorted(combined)),
+        pairs=tuple(DisjointPair(left, right) for left, right, _ in used),
+        multiplicities=tuple(m for _, _, m in used),
     )
     check = verify_certificate(order, cert)
     if not check:
@@ -234,10 +228,11 @@ def verify_certificate(order: TermOrder, cert: Certificate) -> CertificateCheck:
 def is_coherent(order: TermOrder) -> bool:
     """Decide coherence through the Farkas dual.
 
-    The dual system has only n + 1 equality rows versus the primal's
-    2^n - 1 + n, so it is much faster to solve; by Farkas' lemma exactly
-    one of the two systems is feasible, and both are solved in exact
-    rational arithmetic.  The empty order (n = 0) is coherent.
+    The dual system has only n + 1 equality rows versus the primal's one
+    per distinct comparison (about 14 at n = 5, at most 2^n - 1 + n), so
+    it is faster to solve; by Farkas' lemma exactly one of the two systems
+    is feasible, both solved in exact rational arithmetic.  The empty order
+    (n = 0) is coherent.
     """
     require_valid(order)
     rows, rhs = _constraints(order)

@@ -6,9 +6,10 @@ and no :class:`fractions.Fraction` arithmetic enters a pivot; solutions and
 objectives are returned as exact Fractions.  Constraint matrices are
 integer, right-hand sides and costs may be rational.  Problems here are
 tiny (tens of rows and columns), so a dense tableau is plenty.  Programs
-``A x >= b`` with n unknowns and up to 2^n rows are solved on the dual side
-(:func:`maximize_dual`, one tableau row per unknown); :func:`minimize_ge`
-is the primal encoder, for callers that need a particular optimal vertex.
+``A x >= b`` with n unknowns and a row per distinct comparison of an order
+(at most 2^n - 1 + n) are solved on the dual side (:func:`maximize_dual`,
+one tableau row per unknown); :func:`minimize_ge` is the primal encoder,
+for callers that need a particular optimal vertex.
 """
 
 from __future__ import annotations

@@ -12,15 +12,24 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from booltermorders.arrangement import CharPoly, normals
+from booltermorders import lp
+from booltermorders.arrangement import CharPoly, _rank_int, normals
 from booltermorders.baues import PartialTermOrder
+from booltermorders.coherence import (
+    Certificate,
+    _difference_rows,
+    _indicator_difference,
+    _to_integer_weights,
+)
 from booltermorders.core import (
     MAX_GROUND,
+    DisjointPair,
     ParseError,
     TermOrder,
     ValidationReport,
     full_mask,
     parse_subset,
+    reduced_pair,
     relabel,
 )
 from booltermorders.omatroid import (
@@ -519,3 +528,88 @@ def fraction_solve_eq(A, b, c):
     for r, j in enumerate(basis):
         x[j] = tab[r][-1]
     return "optimal", x, obj
+
+
+# ---------------------------------------------------------------------------
+# the weight program with one row per consecutive comparison, repeats kept
+
+
+def constraints_full_rows(order) -> tuple[list[list[int]], list[int]]:
+    """The weight program A w >= b of a total or partial order.
+
+    Rows in order: a step row >= 1 per pair of consecutive levels, then
+    w_i >= 1 when the empty set is alone at the bottom, then each tie with
+    its level's first subset as a pair of opposite rows >= 0.  Transitivity
+    supplies the other comparisons, so the solutions are the weights
+    inducing exactly the order's levels.  The empty set shares a level only
+    in the one-level order, whose ties force w = 0.
+    """
+    n = order.n
+    levels = order.levels
+    rows = _difference_rows(order)
+    if len(levels[0]) == 1:
+        for i in range(n):
+            unit = [0] * n
+            unit[i] = 1
+            rows.append(unit)
+    rhs = [1] * len(rows)
+    for group in levels:
+        for other in group[1:]:
+            tie = _indicator_difference(group[0], other, n)
+            rows += [tie, [-v for v in tie]]
+            rhs += [0, 0]
+    return rows, rhs
+
+
+def lex_min_weight_full_rows(order):
+    """``coherence._lex_min_weight`` over :func:`constraints_full_rows`."""
+    n = order.n
+    rows, rhs = constraints_full_rows(order)
+    if lp.farkas_ge(rows, rhs) is not None:
+        return None
+    w = []
+    for i in range(n):
+        unit = [0] * n
+        unit[i] = 1
+        status, _, opt = lp.maximize_dual(rows, rhs, unit)
+        assert status == "optimal"
+        w.append(opt)
+        rows = rows + [unit, [-v for v in unit]]
+        rhs = rhs + [opt, -opt]
+    return _to_integer_weights(w)
+
+
+def certificate_full_rows(order: TermOrder):
+    """The Farkas certificate over :func:`constraints_full_rows`, or None.
+
+    Each nonzero multiplier is mapped back to its chain step or unit row
+    by index, and duplicate reduced pairs are merged.
+    """
+    rows, rhs = constraints_full_rows(order)
+    lam = lp.farkas_ge(rows, rhs)
+    if lam is None:
+        return None
+    mults = _to_integer_weights(lam)
+    chain = order.chain
+    combined: dict[tuple[int, int], int] = {}
+    for k, m in enumerate(mults):
+        if m == 0:
+            continue
+        if k < len(chain) - 1:
+            left, right = reduced_pair(chain[k], chain[k + 1])
+        else:
+            left, right = 0, 1 << (k - (len(chain) - 1))  # unit row: {} < {i}
+        combined[(left, right)] = combined.get((left, right), 0) + m
+    return Certificate(
+        pairs=tuple(DisjointPair(l, r) for l, r in sorted(combined)),
+        multiplicities=tuple(combined[key] for key in sorted(combined)),
+    )
+
+
+def cone_is_zero_full_rows(rows: list[list[int]], n: int) -> bool:
+    """``baues._cone_is_zero`` with every row kept, repeats included."""
+    if _rank_int(rows) < n:
+        return False
+    target = [-sum(row[i] for row in rows) for i in range(n)]
+    status, _, _ = lp.maximize_dual(rows, [0] * len(rows), target)
+    return status == "optimal"

@@ -1,8 +1,13 @@
+import random
 from fractions import Fraction
 
 import pytest
 
-from booltermorders.baues import coherent_above_only_trivial
+from booltermorders.baues import (
+    PartialTermOrder,
+    coherent_above_only_trivial,
+    find_partial_weight,
+)
 from booltermorders.catalog import (
     coherence_isolated_six,
     coherence_isolated_six_certificate,
@@ -13,6 +18,7 @@ from booltermorders.catalog import (
 from booltermorders.coherence import (
     Certificate,
     _constraints,
+    _difference_rows,
     CoherentOrderError,
     TieError,
     find_weight,
@@ -21,22 +27,58 @@ from booltermorders.coherence import (
     order_from_weight,
     verify_certificate,
 )
-from booltermorders.core import DisjointPair, parse_order
+from booltermorders.core import DisjointPair, parse_order, relabel
 from booltermorders.enumeration import enumerate_orders
 from booltermorders import lp
+from oracles import (
+    certificate_full_rows,
+    cone_is_zero_full_rows,
+    lex_min_weight_full_rows,
+)
 
 
 def test_constraints_of_total_orders(canonical_orders):
-    # a total order's program: consecutive steps >= 1, then w_i >= 1, no tie rows
+    # a total order's program: the distinct consecutive steps and w_i, each
+    # >= 1 and kept at its first occurrence; no tie rows
     for orders in canonical_orders.values():
         for order in orders:
             n, chain = order.n, order.chain
             steps = [
-                [((b >> i) & 1) - ((a >> i) & 1) for i in range(n)]
+                tuple(((b >> i) & 1) - ((a >> i) & 1) for i in range(n))
                 for a, b in zip(chain, chain[1:])
             ]
-            units = [[int(i == j) for j in range(n)] for i in range(n)]
-            assert _constraints(order) == (steps + units, [1] * (len(chain) - 1 + n))
+            units = [tuple(int(i == j) for j in range(n)) for i in range(n)]
+            rows = [list(row) for row in dict.fromkeys(steps + units)]
+            assert _constraints(order) == (rows, [1] * len(rows))
+
+
+def assert_matches_full_rows(order):
+    """Distinct comparisons decide, weigh and certify as every row does."""
+    weight = lex_min_weight_full_rows(order)
+    if isinstance(order, PartialTermOrder):
+        assert find_partial_weight(order) == weight
+        return
+    assert is_coherent(order) == (weight is not None)
+    assert find_weight(order) == weight
+    if weight is None:
+        assert noncoherence_certificate(order) == certificate_full_rows(order)
+    assert coherent_above_only_trivial(order) == cone_is_zero_full_rows(
+        _difference_rows(order), order.n
+    )
+
+
+def test_distinct_comparisons_match_full_rows(canonical_orders):
+    rng = random.Random(20261018)
+    for orders in canonical_orders.values():
+        for order in orders:
+            assert_matches_full_rows(order)
+    for _ in range(40):
+        order = rng.choice(canonical_orders[rng.randint(2, 5)])
+        assert_matches_full_rows(relabel(order, rng.sample(range(order.n), order.n)))
+    for n in range(1, 6):
+        for _ in range(20):
+            weights = [rng.randint(1, 4) for _ in range(n)]
+            assert_matches_full_rows(PartialTermOrder.from_weight(weights))
 
 
 def test_order_from_weight_basic():

@@ -149,6 +149,41 @@ def test_farkas_matches_fraction_oracle(canonical_orders):
             assert lp.farkas_ge(rows, rhs) == farkas_by_fraction_oracle(rows, rhs)
 
 
+@st.composite
+def programs_with_copies(draw):
+    """Rows A x >= b, a cost c, and a row list that inserts copies of some
+    (row, rhs) pairs after their first occurrence: (k, is_copy) per row."""
+    n = draw(st.integers(1, 4))
+    m = draw(st.integers(1, 6))
+    A = draw(st.lists(st.lists(st.integers(-2, 2), min_size=n, max_size=n),
+                      min_size=m, max_size=m))
+    b = draw(st.lists(st.integers(-2, 2), min_size=m, max_size=m))
+    c = draw(st.lists(st.integers(-2, 2), min_size=n, max_size=n))
+    entries = [(k, False) for k in range(m)]
+    for _ in range(draw(st.integers(1, 4))):
+        k = draw(st.integers(0, m - 1))
+        at = draw(st.integers(entries.index((k, False)) + 1, len(entries)))
+        entries.insert(at, (k, True))
+    return A, b, c, entries
+
+
+@given(programs_with_copies())
+@example(([[1], [-1]], [1, 0], [1], [(0, False), (1, False), (0, True)]))  # Farkas
+@example(([[1], [1]], [1, 2], [1], [(0, False), (1, False), (1, True)]))  # optimal
+def test_repeated_rows_change_no_pivot(case):
+    # under Bland's rule a later copy of a dual column never enters the basis
+    A, b, c, entries = case
+    A2 = [A[k] for k, _ in entries]
+    b2 = [b[k] for k, _ in entries]
+
+    def spread(lam):
+        return lam and [0 if copy else lam[k] for k, copy in entries]
+
+    assert spread(lp.farkas_ge(A, b)) == lp.farkas_ge(A2, b2)
+    status, y, obj = lp.maximize_dual(A, b, c)
+    assert (status, spread(y), obj) == lp.maximize_dual(A2, b2, c)
+
+
 @given(
     st.lists(st.integers(1, 1000), min_size=1, max_size=5),
     st.lists(st.integers(0, 10**6), max_size=12),
