@@ -246,9 +246,10 @@ def _cmd_localize(args) -> int:
     loc = omatroid.check_localization(mu)
     print(f"localization: {'yes' if loc else 'no'}")
     if not loc:
-        x, y, e = loc.witness
+        x, y, signs = loc.witness
         print(
-            f"witness: {_sign_string(x)}, {_sign_string(y)} have no eliminator at root {e}"
+            f"witness: coline {_sign_string(x)}, {_sign_string(y)} has signs "
+            f"{_sign_string(signs)} on X, X+Y, Y, Y-X, -X, -X-Y, -Y, X-Y"
         )
     rep = omatroid.check_mu_conditions(mu)
     if rep:

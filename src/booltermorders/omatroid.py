@@ -7,6 +7,11 @@ vector.  A (partial) term order signs every cocircuit by comparing the
 negative support against the positive support; such a signing is always a
 localization (one-element extension), and conversely a signing comes from
 an order exactly when it passes the two addition conditions.
+
+Localization is tested on the colines (rank-2 contractions), by Las
+Vergnas (1978): a signing is a localization iff on every coline its 8
+signs are all 0, or 0 on one antipodal pair and constant on each open
+half-arc, or nowhere 0 with exactly two sign changes around the cycle.
 """
 
 from __future__ import annotations
@@ -137,133 +142,68 @@ def mu_from_order(order) -> Signature:
 @dataclass
 class LocalizationReport:
     ok: bool
-    witness: tuple | None = None  # (X, Y, root index) with no eliminator
+    # (X, Y, signs): a failing coline and sigma on its 8 cocircuits
+    witness: tuple | None = None
 
     def __bool__(self) -> bool:
         return self.ok
 
 
-CHUNK = 5  # bits per chunk-table lookup in check_localization
+def _coline_ok(cycle: SignVector) -> bool:
+    """Whether 8 signs around a coline are those of a loop, of an element
+    on one of its lines, or of one in general position (see
+    :func:`check_localization`)."""
+    zeros = [k for k, s in enumerate(cycle) if s == 0]
+    if not zeros:
+        return sum(cycle[k - 1] != cycle[k] for k in range(8)) == 2
+    if len(zeros) == 2:  # an antipodal pair k, k + 4
+        k = zeros[0]
+        return len(set(cycle[k + 1 : k + 4])) == 1
+    return len(zeros) == 8
+
+
+# sigma on X, X+Y, Y, Y-X decides a coline by antisymmetry: all 81 patterns
+_COLINE_OK = {
+    signs: _coline_ok(signs + negate(signs))
+    for signs in itertools.product((1, 0, -1), repeat=4)
+}
 
 
 @functools.lru_cache(maxsize=None)
-def _localization_tables(n: int):
-    """Bitsets over the indices of ``sign_vectors(n)``, built once per n.
+def _colines(n: int) -> list[tuple[SignVector, ...]]:
+    """Each coline of B_n once, as its cocircuits X, X+Y, Y, Y-X.
 
-    With m = n^2 roots, vector i's cocircuit is the 2m-bit word
-    ``words[i]``: bit r for + at root r, bit m + r for - at root r.
-    ``zero[r]`` is the bitset of the vectors whose cocircuit vanishes at r.
-    ``chunks`` splits the word into CHUNK-bit pieces: for the piece at
-    ``shift``, ``table[v]`` is the OR of the bitsets of the vectors having
-    a word bit among the bits v sets there.
+    X and Y have disjoint supports and first nonzero entry +, and X's
+    support starts first; their coline's cocircuits run X, X+Y, Y, Y-X,
+    -X, -X-Y, -Y, X-Y around a circle.
     """
-    vectors = sign_vectors(n)
-    m = n * n
-    words = []
-    zero = [0] * m
-    having = [0] * (2 * m)  # word bit -> the vectors whose word has it
-    for i, x in enumerate(vectors):
-        word = 0
-        for r, v in enumerate(cocircuit(x)):
-            if v == 0:
-                zero[r] |= 1 << i
-                continue
-            b = r if v > 0 else m + r
-            word |= 1 << b
-            having[b] |= 1 << i
-        words.append(word)
-    chunks = []
-    for shift in range(0, 2 * m, CHUNK):
-        bits = having[shift : shift + CHUNK]
-        table = [0] * (1 << len(bits))
-        for v in range(1, len(table)):
-            low = v & -v
-            table[v] = table[v ^ low] | bits[low.bit_length() - 1]
-        chunks.append((shift, table))
-    return vectors, words, zero, chunks
+    start = {v: next(i for i, s in enumerate(v) if s) for v in sign_vectors(n)}
+    heads = [v for v, i in start.items() if v[i] > 0]
+    return [
+        (x, tuple(a + b for a, b in zip(x, y)), y, tuple(b - a for a, b in zip(x, y)))
+        for x in heads
+        for y in heads
+        if start[x] < start[y] and not any(a and b for a, b in zip(x, y))
+    ]
 
 
 def check_localization(sigma: Signature) -> LocalizationReport:
-    """Weak cocircuit elimination over the nonnegative support of sigma.
+    """Whether sigma is a localization, tested on every rank-2 contraction.
 
-    For every X, Y with sigma in {+,0}, not opposite, and every root where
-    the cocircuits clash in sign, some Z with sigma in {+,0} must vanish at
-    that root and have cocircuit supports inside the union of supports.
-    The search runs over all nonzero candidates, not just the constructed
-    ones, as bitsets over the sign-vector indices: the candidates are the
-    allowed vectors minus those with a cocircuit sign outside the union
-    (by chunk-table lookups), and a clashing root e needs one of them in
-    ``zero[e]``.  Pairs run in ``sign_vectors`` order and roots from low
-    to high, so the witness (X, Y, root index) is the first such failure.
+    By Las Vergnas (1978; Bjorner, Las Vergnas, Sturmfels, White and
+    Ziegler, *Oriented Matroids*, 7.1), a signing of the cocircuits is a
+    localization iff it is one on every coline.  On a coline's 8
+    cocircuits the signs must be all 0; or 0 on exactly one antipodal
+    pair, with each open half-arc of one sign; or nowhere 0, with exactly
+    two sign changes around the cycle.  The witness is the first failing
+    coline in ``_colines`` order, as (X, Y, its 8 signs).
     """
-    n = sigma.n
-    vectors, words, zero, chunks = _localization_tables(n)
-    m = n * n
-    full = (1 << 2 * m) - 1
-    mask = (1 << CHUNK) - 1
     values = sigma.values
-    # each allowed vector as (index, the - half of its word, the bits outside its word)
-    rows = [
-        (i, w >> m, full & ~w)
-        for i, (x, w) in enumerate(zip(vectors, words))
-        if values[x] >= 0
-    ]
-    allowed = sum(1 << i for i, _, _ in rows)
-    opposite = len(vectors) - 1  # vectors[i] and vectors[opposite - i] are negatives
-    for i, _, cx in rows:
-        px = words[i] & (1 << m) - 1
-        for j, ny, cy in rows:
-            clash = px & ny
-            if not clash or i + j == opposite:
-                continue
-            outside = cx & cy
-            banned = 0
-            for shift, table in chunks:
-                banned |= table[outside >> shift & mask]
-            candidates = allowed & ~banned
-            while clash:
-                bit = clash & -clash
-                e = bit.bit_length() - 1
-                if not candidates & zero[e]:
-                    return LocalizationReport(False, (vectors[i], vectors[j], e))
-                clash ^= bit
+    for x, s, y, d in _colines(sigma.n):
+        signs = (values[x], values[s], values[y], values[d])
+        if not _COLINE_OK[signs]:
+            return LocalizationReport(False, (x, y, signs + negate(signs)))
     return LocalizationReport(True)
-
-
-def elimination_candidates(x: SignVector, y: SignVector) -> list[SignVector]:
-    """The explicitly constructed eliminators for a pair of sign vectors.
-
-    Decomposes the supports into shared, swapped, and private parts and
-    returns the standard five composite vectors (six when the shared parts
-    are empty), dropping any that vanish.
-    """
-    xp, xn = positive_part(x), negative_part(x)
-    yp, yn = positive_part(y), negative_part(y)
-    m = xn & yn
-    p = xp & yp
-    sx = xn & yp  # negative in x, positive in y
-    sy = xp & yn
-    a = xn & ~(m | sx)
-    b = xp & ~(p | sy)
-    c = yn & ~(m | sy)
-    d = yp & ~(p | sx)
-    n = len(x)
-    raw = [
-        (p, m),
-        (b | p, a | m),
-        (d | p, c | m),
-        (b | d | p | sy, a | c | m | sx),
-        (b | d | p | sx, a | c | m | sy),
-    ]
-    if m == 0 and p == 0:
-        raw.append((b | d, a | c))
-    out = []
-    for zp, zn in raw:
-        if zp or zn:
-            z = from_parts(zp, zn, n)
-            if z not in out:
-                out.append(z)
-    return out
 
 
 @dataclass

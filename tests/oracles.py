@@ -435,6 +435,21 @@ def check_localization_tuples(sigma: Signature) -> LocalizationReport:
     return LocalizationReport(True)
 
 
+def rank2_extension_patterns() -> set[tuple[int, ...]]:
+    """The signs a linear form takes on 8 rays in cyclic order, two per line.
+
+    A form that is zero everywhere; one vanishing on a single line, + on
+    one open side and - on the other; or one vanishing on no ray, + on
+    four consecutive rays.  The 17 patterns are the rotations of these.
+    """
+    rotations = lambda cycle: {cycle[k:] + cycle[:k] for k in range(8)}
+    return (
+        {(0,) * 8}
+        | rotations((0, 1, 1, 1, 0, -1, -1, -1))
+        | rotations((1, 1, 1, 1, -1, -1, -1, -1))
+    )
+
+
 class _Unbounded(Exception):
     pass
 

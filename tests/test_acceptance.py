@@ -175,6 +175,16 @@ def test_criterion_07_localization_n5(canonical_orders):
 
 
 @extended
+def test_criterion_07_localization_n6():
+    classes = 0
+    for order in enumerate_orders(6, mode="canonical"):
+        classes += 1
+        assert check_localization(mu_from_order(order))
+    assert classes == 169444
+    print("ACCEPTANCE 7 (extended): PASS — all 169444 classes at n=6 pass localization")
+
+
+@extended
 def test_criterion_07_mu_conditions_n5(canonical_orders):
     for order in canonical_orders[5]:
         assert check_mu_conditions(mu_from_order(order))

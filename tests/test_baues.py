@@ -18,9 +18,11 @@ from booltermorders.catalog import (
     noncoherent_five,
     rigid_noncoherent_six,
 )
-from booltermorders.coherence import find_weight
-from booltermorders.core import OrderError, ParseError
+from booltermorders.coherence import find_weight, is_coherent, order_from_weight
+from booltermorders.core import OrderError, ParseError, full_mask, submasks
 from booltermorders.enumeration import enumerate_orders
+from booltermorders.flips import flip, flippable_pairs
+from conftest import extended
 from oracles import is_union_violation, validate_partial_quadruples
 
 
@@ -131,6 +133,54 @@ def test_nonrigid_orders_have_coarsenings():
         for coarse in found:
             assert is_coherent_partial(coarse)
             assert refines(PartialTermOrder.from_total(order), coarse)
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=OrderError,
+    reason="a box LP can stop at a vertex where the smallest singleton ties "
+    "with the empty set",
+)
+def test_coherent_coarsenings_never_raise(canonical_orders):
+    orders = [order_from_weight((1, 2, 4), 3)]
+    orders += [order for n in range(1, 5) for order in canonical_orders[n]]
+    for order in orders:
+        for coarse in coherent_coarsenings_nontrivial(order):
+            assert coarse.num_levels > 1 and is_coherent_partial(coarse)
+            assert refines(PartialTermOrder.from_total(order), coarse)
+
+
+def walls(order):
+    """Each flippable pair with a nonempty left side, with the partial order
+    that merges every translate of the pair into one level: the facet
+    between the order and its flip."""
+    for pair in flippable_pairs(order):
+        if not pair.left:
+            continue
+        rest = full_mask(order.n) & ~(pair.left | pair.right)
+        upper = {order.rank[pair.right | l] for l in submasks(rest)}
+        merged = list(itertools.accumulate(r in upper for r in range(len(order.rank))))
+        yield pair, PartialTermOrder(order.n, tuple(r - merged[r] for r in order.rank))
+
+
+def check_walls(orders) -> int:
+    # a wall is coherent iff the two chambers it separates are
+    count = 0
+    for order in orders:
+        for pair, wall in walls(order):
+            count += 1
+            weight = find_partial_weight(wall)
+            assert (weight is not None) == (is_coherent(order) and is_coherent(flip(order, pair)))
+    return count
+
+
+def test_walls_are_coherent_iff_both_sides_are(canonical_orders):
+    assert check_walls(canonical_orders[3] + canonical_orders[4]) == 62
+
+
+@extended
+def test_walls_are_coherent_iff_both_sides_are_n5(canonical_orders):
+    assert check_walls(canonical_orders[5]) == 3162
 
 
 def test_parse_serialize_roundtrip():

@@ -166,6 +166,22 @@ def test_localize_check(capsys, example_file):
     assert "mu-conditions: ok" in out
 
 
+def test_localize_check_prints_failing_coline(capsys, tmp_path, monkeypatch):
+    # no order file gives a non-localization, so the signature is swapped in
+    from booltermorders import omatroid
+
+    path = tmp_path / "o.bto"
+    path.write_text("n=2\n-\n1\n2\n1,2\n")
+    bad = omatroid.Signature(2, {(1, 0): 1, (1, 1): 1, (0, 1): 0, (1, -1): -1})
+    monkeypatch.setattr(omatroid, "mu_from_order", lambda order: bad)
+    code, out, _ = run(capsys, "localize", str(path), "--check")
+    assert code == 1
+    assert out.splitlines()[:2] == [
+        "localization: no",
+        "witness: coline +0, 0+ has signs ++0+--0- on X, X+Y, Y, Y-X, -X, -X-Y, -Y, X-Y",
+    ]
+
+
 def test_localize_dump(capsys, tmp_path):
     path = tmp_path / "o.bto"
     path.write_text("n=2\n-\n1\n2\n1,2\n")

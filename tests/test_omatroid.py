@@ -8,7 +8,6 @@ from booltermorders.omatroid import (
     check_localization,
     check_mu_conditions,
     cocircuit,
-    elimination_candidates,
     mu_from_order,
     negate,
     partial_order_from_signature,
@@ -61,19 +60,6 @@ def test_nonorder_localization():
     assert report.failed_condition == 2
     x, y, z = report.witness
     assert sig(x) == 1 and sig(y) == 1 and sig(z) != 1
-
-
-def test_elimination_candidates_structure():
-    for x in sign_vectors(3):
-        for y in sign_vectors(3):
-            for z in elimination_candidates(x, y):
-                assert any(z)
-                # supports stay inside the union of supports
-                for zi, xi, yi in zip(z, x, y):
-                    if zi == 1:
-                        assert 1 in (xi, yi)
-                    if zi == -1:
-                        assert -1 in (xi, yi)
 
 
 def test_partial_order_roundtrip():

@@ -59,6 +59,7 @@ from booltermorders.omatroid import (
 )
 from oracles import (
     check_localization_tuples,
+    rank2_extension_patterns,
     fraction_solve_eq,
     is_union_violation,
     is_valid_all_gammas,
@@ -352,7 +353,18 @@ def test_zeroed_n5_signatures_are_not_localizations():
 @example(ZEROED_N5[4])
 @example(ZEROED_N5[5])
 def test_localization_matches_tuple_oracle(sigma):
-    assert check_localization(sigma) == check_localization_tuples(sigma)
+    report = check_localization(sigma)
+    assert report.ok == check_localization_tuples(sigma).ok
+    if report.ok:
+        return
+    # the witness is a coline X, Y and sigma's 8 signs around it, none of
+    # the patterns a one-element extension of rank 2 can have
+    x, y, signs = report.witness
+    assert not any(a and b for a, b in zip(x, y))
+    combine = lambda a, b: tuple(a * u + b * v for u, v in zip(x, y))
+    cycle = [(1, 0), (1, 1), (0, 1), (-1, 1), (-1, 0), (-1, -1), (0, -1), (1, -1)]
+    assert signs == tuple(sigma(combine(a, b)) for a, b in cycle)
+    assert signs not in rank2_extension_patterns()
 
 
 @given(perturbed_signatures(), st.data())
