@@ -4,6 +4,11 @@ A subset of [n] = {1, ..., n} is stored as an n-bit mask with bit i-1 set
 iff element i is in the subset.  A term order is a rank array over all 2^n
 masks: rank[mask] is the position of the subset, 0-based, with the empty
 set required at position 0.
+
+The union axiom is checked by one scan per element (``_first_violation``),
+shared by total and partial orders.  For n <= 8 each mask fits in a byte
+and the scan runs on the chain as ``bytes``, through translation tables
+built on first use; for 9 <= n <= 16 it compares rank lists.
 """
 
 from __future__ import annotations
@@ -218,24 +223,66 @@ def _first_violation(level, rank, chain, n) -> tuple[int, int, int] | None:
     ``level``.  For each element e, the masks without e are taken in chain
     order and e is added to each; the images must keep the rank order.
     That suffices, since alpha ≺ beta gives alpha ∪ gamma ≺ beta ∪ gamma by
-    adding the elements of gamma one at a time.  At the first neighbours m,
-    m2 whose images come out reversed, the comparison under ``level``
-    changes; with c = m ∩ m2, a = m − c and b = m2 − c, it changes either
-    between (a, b) and (a + c, b + c), or between (a, b) and (a + c + e,
-    b + c + e).  The triple is ordered with a not above b.
+    adding the elements of gamma one at a time.
+
+    For n <= 8 every mask fits in a byte, and the check for e runs on the
+    chain as ``bytes``: the images of the masks without e, in chain order,
+    must equal the masks with e, in chain order (see :func:`_byte_tables`).
+    For larger n the ranks of the images are listed and must be sorted.
+    The triple is built by :func:`_witness` for the first failing e only.
     """
+    if n <= 8:
+        b = bytes(chain)
+        for e, (lift, upper, lower) in enumerate(_byte_tables(n)):
+            if b.translate(lift, upper) != b.translate(None, lower):
+                return _witness(level, rank, chain, 1 << e)
+        return None
     for e in range(n):
         bit = 1 << e
         ranks = [rank[m | bit] for m in chain if not m & bit]
         if ranks != sorted(ranks):
-            i = next(i for i in range(len(ranks) - 1) if ranks[i] > ranks[i + 1])
-            m, m2 = [m for m in chain if not m & bit][i : i + 2]
-            c = m & m2
-            a, b = m ^ c, m2 ^ c
-            if _cmp(level[a], level[b]) == _cmp(level[m], level[m2]):
-                c |= bit
-            return (b, a, c) if level[a] > level[b] else (a, b, c)
+            return _witness(level, rank, chain, bit)
     return None
+
+
+@functools.lru_cache(maxsize=None)
+def _byte_tables(n: int) -> tuple[tuple[bytes, bytes, bytes], ...]:
+    """Per element e of [n], n <= 8: a 256-byte table adding e to a mask,
+    the masks of [n] with e, and the masks of [n] without e.
+
+    ``chain.translate(lift, upper)`` deletes the masks with e and adds e to
+    the rest; ``chain.translate(None, lower)`` keeps the masks with e.
+    Built on first use, once per n.
+    """
+    masks = range(1 << n)
+    return tuple(
+        (
+            bytes(m | 1 << e for m in range(256)),
+            bytes(m for m in masks if m >> e & 1),
+            bytes(m for m in masks if not m >> e & 1),
+        )
+        for e in range(n)
+    )
+
+
+def _witness(level, rank, chain, bit) -> tuple[int, int, int]:
+    """The triple of :func:`_first_violation` for an element ``bit`` whose
+    images come out of rank order.
+
+    At the first neighbours m, m2 without the element whose images come out
+    reversed, the comparison under ``level`` changes; with c = m ∩ m2,
+    a = m − c and b = m2 − c, it changes either between (a, b) and
+    (a + c, b + c), or between (a, b) and (a + c + e, b + c + e).  The
+    triple is ordered with a not above b.
+    """
+    ranks = [rank[m | bit] for m in chain if not m & bit]
+    i = next(i for i in range(len(ranks) - 1) if ranks[i] > ranks[i + 1])
+    m, m2 = [m for m in chain if not m & bit][i : i + 2]
+    c = m & m2
+    a, b = m ^ c, m2 ^ c
+    if _cmp(level[a], level[b]) == _cmp(level[m], level[m2]):
+        c |= bit
+    return (b, a, c) if level[a] > level[b] else (a, b, c)
 
 
 def _cmp(x: int, y: int) -> int:
@@ -331,6 +378,19 @@ def is_canonical(order: TermOrder) -> bool:
 # order files
 
 
+def _subset_names(n: int) -> dict[str, int]:
+    """The file spelling of every subset of [n], mapped to its mask.
+
+    Built by doubling: the name of m ∪ {k} is the name of m followed by
+    ``,k``, so no subset is formatted on its own.
+    """
+    spelled = ["-"]
+    for k in range(1, n + 1):
+        suffix = f",{k}"
+        spelled += [str(k)] + [name + suffix for name in spelled[1:]]
+    return dict(zip(spelled, range(1 << n)))
+
+
 def read_levels(text: str) -> tuple[int, list[list[int]]]:
     """Read an order file, total or partial, into n and its levels.
 
@@ -368,7 +428,7 @@ def read_levels(text: str) -> tuple[int, list[list[int]]]:
                         raise ParseError(f"bad subset element {part!r}", no) from None
     if not 0 <= n <= MAX_GROUND:
         raise ParseError(f"n={n} out of range 0..{MAX_GROUND}", header_no)
-    names = {format_subset(m): m for m in range(1 << n)}
+    names = _subset_names(n)
     levels = []
     seen = set()
     for no, body in lines:

@@ -46,10 +46,6 @@ def positive_part(x: SignVector) -> int:
     return mask
 
 
-def negative_part(x: SignVector) -> int:
-    return positive_part(negate(x))
-
-
 def from_parts(pos: int, neg: int, n: int) -> SignVector:
     assert not pos & neg
     return tuple(
@@ -118,25 +114,32 @@ def mu_from_order(order) -> Signature:
 
     Accepts a total order or a partial order with a ``level`` array; the
     value at x is + when the negative support precedes the positive one.
+    The values are antisymmetric by construction, so the signature is
+    built without the checks of :class:`Signature`.
     """
     if isinstance(order, TermOrder):
         require_valid(order)
         level = order.rank
-        n = order.n
     else:
         level = order.level
-        n = order.n
-    values = {}
-    for x in sign_vectors(n):
-        pos = positive_part(x)
-        neg = negative_part(x)
-        if level[neg] < level[pos]:
-            values[x] = 1
-        elif level[pos] < level[neg]:
-            values[x] = -1
-        else:
-            values[x] = 0
-    return Signature(n, values)
+    n = order.n
+    # (x, positive part, negative part), the first coordinate varying slowest
+    parts = [((), 0, 0)]
+    for i in reversed(range(n)):
+        bit = 1 << i
+        parts = [
+            ((s,) + x, pos | bit * (s > 0), neg | bit * (s < 0))
+            for s in (1, 0, -1)
+            for x, pos, neg in parts
+        ]
+    sigma = Signature.__new__(Signature)
+    sigma.n = n
+    sigma.values = {
+        x: (level[pos] > level[neg]) - (level[pos] < level[neg])
+        for x, pos, neg in parts
+        if pos or neg
+    }
+    return sigma
 
 
 @dataclass

@@ -36,6 +36,7 @@ from booltermorders.omatroid import (
     LocalizationReport,
     Signature,
     cocircuit,
+    negate,
     positive_part,
     sign_vectors,
 )
@@ -86,6 +87,44 @@ def is_union_violation(level: Sequence[int], triple: tuple[int, int, int]) -> bo
     before = (level[a] > level[b]) - (level[a] < level[b])
     after = (level[a | g] > level[b | g]) - (level[a | g] < level[b | g])
     return before != after
+
+
+def first_violation_list_scan(level, rank, chain, n) -> tuple[int, int, int] | None:
+    """Reference for ``core._first_violation``: the list scan at every n.
+
+    For each element e, the ranks of the masks without e, taken in chain
+    order with e added, must be sorted; at the first e where they are not,
+    the triple comes from the first reversed neighbours, as documented in
+    ``core._first_violation``.
+    """
+    for e in range(n):
+        bit = 1 << e
+        ranks = [rank[m | bit] for m in chain if not m & bit]
+        if ranks != sorted(ranks):
+            i = next(i for i in range(len(ranks) - 1) if ranks[i] > ranks[i + 1])
+            m, m2 = [m for m in chain if not m & bit][i : i + 2]
+            c = m & m2
+            a, b = m ^ c, m2 ^ c
+            before = (level[a] > level[b]) - (level[a] < level[b])
+            if before == (level[m] > level[m2]) - (level[m] < level[m2]):
+                c |= bit
+            return (b, a, c) if level[a] > level[b] else (a, b, c)
+    return None
+
+
+def union_violation_list_scan(level: Sequence[int], n: int) -> tuple[int, int, int] | None:
+    """Reference for ``core.union_violation``: both tie splits through
+    :func:`first_violation_list_scan`."""
+    size = 1 << n
+    for sign in (1, -1):
+        chain = sorted(range(size), key=lambda m: (level[m], sign * m))
+        rank = [0] * size
+        for pos, mask in enumerate(chain):
+            rank[mask] = pos
+        found = first_violation_list_scan(level, rank, chain, n)
+        if found is not None:
+            return found
+    return None
 
 
 def singleton_axioms_two_lists(order: TermOrder) -> bool:
@@ -393,6 +432,24 @@ def char_poly_mobius(n: int) -> CharPoly:
         dim = n - len(span)
         coeffs[n - dim] += mu
     return CharPoly(tuple(coeffs))
+
+
+def mu_from_order_checked(order) -> Signature:
+    """Reference for ``omatroid.mu_from_order``: each sign vector's parts
+    taken one by one, and the signature built through the checks of
+    ``Signature``."""
+    level = order.rank if isinstance(order, TermOrder) else order.level
+    values = {}
+    for x in sign_vectors(order.n):
+        pos = positive_part(x)
+        neg = positive_part(negate(x))
+        if level[neg] < level[pos]:
+            values[x] = 1
+        elif level[pos] < level[neg]:
+            values[x] = -1
+        else:
+            values[x] = 0
+    return Signature(order.n, values)
 
 
 def check_localization_tuples(sigma: Signature) -> LocalizationReport:

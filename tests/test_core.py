@@ -1,12 +1,18 @@
 import itertools
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+
+import booltermorders
 
 from booltermorders.core import (
     DisjointPair,
     OrderError,
     ParseError,
     TermOrder,
+    _subset_names,
     canonicalize,
     complement,
     elements,
@@ -19,11 +25,16 @@ from booltermorders.core import (
     reduced_pair,
     relabel,
     serialize_order,
+    union_violation,
     validate,
 )
 from booltermorders.enumeration import enumerate_orders
-from oracles import canonicalize_brute_force, is_union_violation, is_valid_all_gammas
-
+from oracles import (
+    canonicalize_brute_force,
+    first_violation_list_scan,
+    is_union_violation,
+    is_valid_all_gammas,
+)
 
 
 def lex_order(n):
@@ -87,6 +98,60 @@ def test_is_valid_matches_oracles_on_every_n3_chain():
             assert order.rank[triple[0]] < order.rank[triple[1]]
         found += valid
     assert found == 12
+
+
+@pytest.mark.parametrize("n", [8, 9])  # the last byte scan, the first list scan
+def test_lex_orders_at_the_byte_boundary(n):
+    size = 1 << n
+    chain = list(range(size))
+    swapped = {
+        "neighbours": (3, 4),  # {1,2} above {3}, but {1,2,4} below {3,4}
+        "middle": (size // 2 - 1, size // 2),  # [n-1] and {n}, complements
+        # [n-2] and {n-1}: each element but n lies in one of them, so only
+        # the scan for n sees the swap
+        "last": (size // 4 - 1, size // 4),
+    }
+    orders = [lex_order(n)]
+    for i, j in swapped.values():
+        moved = chain[:]
+        moved[i], moved[j] = moved[j], moved[i]
+        orders.append(TermOrder.from_chain(n, moved))
+    verdicts = []
+    for order in orders:
+        expected = first_violation_list_scan(order.rank, order.rank, order.chain, n)
+        report = validate(order)
+        assert report.violations == ([] if expected is None else [expected])
+        assert union_violation(order.rank, n) == expected
+        assert is_valid(order) == report.ok == is_valid_all_gammas(order)
+        verdicts.append(report.ok)
+    assert verdicts == [True, False, True, False]
+    assert is_union_violation(orders[1].rank, validate(orders[1]).violations[0])
+
+
+def test_import_builds_no_byte_tables():
+    src = Path(booltermorders.__file__).parents[1]
+    code = (
+        "import booltermorders\n"
+        "from booltermorders import core\n"
+        "print(core._byte_tables.cache_info().currsize)\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True, text=True, check=True, cwd=src,
+    )
+    assert out.stdout.strip() == "0"
+
+
+def test_subset_names_match_format_subset():
+    for n in range(11):
+        assert _subset_names(n) == {format_subset(m): m for m in range(1 << n)}
+
+
+def test_n16_file_round_trips():
+    chain = list(range(1 << 16))
+    chain[3], chain[4] = chain[4], chain[3]
+    order = TermOrder.from_chain(16, chain)
+    assert parse_order(serialize_order(order)) == order
 
 
 def test_is_valid_rejects_bad_rank_arrays():

@@ -1,7 +1,11 @@
+import itertools
+import random
+
 import pytest
 
 from booltermorders.baues import PartialTermOrder
 from booltermorders.catalog import nonorder_localization_three, noncoherent_five
+from booltermorders.core import relabel
 from booltermorders.enumeration import enumerate_orders
 from booltermorders.omatroid import (
     Signature,
@@ -13,6 +17,7 @@ from booltermorders.omatroid import (
     partial_order_from_signature,
     sign_vectors,
 )
+from oracles import mu_from_order_checked
 
 
 def signs(text):
@@ -42,6 +47,19 @@ def test_mu_from_orders_pass_both_checks():
             mu = mu_from_order(order)
             assert check_localization(mu)
             assert check_mu_conditions(mu)
+
+
+def test_mu_from_order_matches_checked_construction():
+    rng = random.Random(12)
+    orders = [o for n in range(1, 5) for o in enumerate_orders(n, mode="canonical")]
+    orders += rng.sample(list(enumerate_orders(5, mode="canonical")), 40)
+    orders += rng.sample(list(itertools.islice(enumerate_orders(6, mode="canonical"), 2000)), 10)
+    orders = [relabel(o, rng.sample(range(o.n), o.n)) for o in orders]
+    orders += [PartialTermOrder.from_weight(w) for w in [(1, 1, 3), (1, 2, 3, 3), (2, 2, 2, 3, 5)]]
+    for order in orders:
+        mu, expected = mu_from_order(order), mu_from_order_checked(order)
+        assert mu.n == expected.n
+        assert list(mu.values.items()) == list(expected.values.items())
 
 
 def test_mu_from_partial_order():

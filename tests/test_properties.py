@@ -46,6 +46,7 @@ from booltermorders.core import (
     read_levels,
     relabel,
     serialize_order,
+    union_violation,
     validate,
 )
 from booltermorders.enumeration import enumerate_orders
@@ -59,6 +60,7 @@ from booltermorders.omatroid import (
 )
 from oracles import (
     check_localization_tuples,
+    first_violation_list_scan,
     rank2_extension_patterns,
     fraction_solve_eq,
     is_union_violation,
@@ -68,6 +70,7 @@ from oracles import (
     refines_pairs,
     relabel_image_table,
     singleton_axioms_two_lists,
+    union_violation_list_scan,
     validate_partial_quadruples,
 )
 
@@ -253,6 +256,53 @@ def test_is_valid_matches_oracles_on_perturbed_orders(order):
 
 
 @st.composite
+def scanned_orders(draw):
+    """An order on n = 3..8 elements: a generic weight order after a short
+    flip walk, kept or with two chain entries swapped (chain neighbours or
+    any two)."""
+    n = draw(st.integers(3, 8))
+    weights = draw(st.lists(st.integers(1, 10**6), min_size=n, max_size=n))
+    try:
+        order = order_from_weight(weights, n)
+    except TieError:
+        assume(False)
+    for _ in range(draw(st.integers(0, 6))):
+        pairs = [pair for pair in flippable_pairs(order) if pair.left]
+        if not pairs:
+            break
+        order = flip(order, draw(st.sampled_from(pairs)))
+    chain = list(order.chain)
+    kind = draw(st.sampled_from(["keep", "neighbours", "any"]))
+    if kind == "neighbours":
+        i = draw(st.integers(1, len(chain) - 2))
+        chain[i], chain[i + 1] = chain[i + 1], chain[i]
+    elif kind == "any":
+        i, j = draw(st.lists(st.integers(0, len(chain) - 1), min_size=2, max_size=2, unique=True))
+        chain[i], chain[j] = chain[j], chain[i]
+    return TermOrder.from_chain(n, chain)
+
+
+def swapped_lex_order(n, i, j):
+    chain = list(range(1 << n))
+    chain[i], chain[j] = chain[j], chain[i]
+    return TermOrder.from_chain(n, chain)
+
+
+@given(scanned_orders())
+@example(swapped_lex_order(8, 63, 64))  # {1..6} and {7}: only the scan for 8 fails
+@example(swapped_lex_order(7, 31, 32))  # {1..5} and {6}: only the scan for 7 fails
+@example(swapped_lex_order(8, 127, 128))  # [7] and {8}, still valid
+def test_union_scan_matches_list_scan(order):
+    """The byte scan (n <= 8) reports the list scan's verdict and triple."""
+    rank, n = order.rank, order.n
+    expected = first_violation_list_scan(rank, rank, order.chain, n)
+    report = validate(order)
+    assert report.violations == ([] if expected is None else [expected])
+    assert union_violation(rank, n) == expected
+    assert is_valid(order) == report.ok == is_valid_all_gammas(order)
+
+
+@st.composite
 def relabelings(draw):
     """An enumerated order (n = 1..6) or a perturbed one, and a permutation."""
     if draw(st.booleans()):
@@ -403,10 +453,10 @@ def contiguous(level):
 
 
 @st.composite
-def tied_level_arrays(draw, max_n=3):
+def tied_level_arrays(draw, max_n=3, min_n=1):
     """Levels of a tied weight vector, kept, or with one subset moved to
     another level, or with two neighbouring levels merged; valid or not."""
-    n = draw(st.integers(1, max_n))
+    n = draw(st.integers(min_n, max_n))
     weights = draw(st.lists(st.integers(1, 3), min_size=n, max_size=n))
     level = list(PartialTermOrder.from_weight(weights).level)
     top = max(level)
@@ -429,6 +479,16 @@ def test_validate_partial_matches_quadruple_oracle(order):
     for triple in report.violations:
         assert is_union_violation(order.level, triple)
         assert order.level[triple[0]] <= order.level[triple[1]]
+
+
+@given(tied_level_arrays(max_n=8, min_n=3))
+def test_union_scan_matches_list_scan_on_ties(order):
+    expected = union_violation_list_scan(order.level, order.n)
+    assert union_violation(order.level, order.n) == expected
+    report = validate_partial(order)
+    assert report.violations == ([] if expected is None else [expected])
+    if order.n <= 4:
+        assert report.ok == validate_partial_quadruples(order).ok
 
 
 @st.composite
