@@ -270,26 +270,6 @@ def root_system(n: int) -> list[tuple[int, ...]]:
     return vectors
 
 
-def _det_int(mat: list[list[int]]) -> int:
-    """Fraction-free (Bareiss) determinant of a small integer matrix."""
-    m = [row[:] for row in mat]
-    size = len(m)
-    sign = 1
-    prev = 1
-    for k in range(size - 1):
-        if m[k][k] == 0:
-            swap = next((r for r in range(k + 1, size) if m[r][k] != 0), None)
-            if swap is None:
-                return 0
-            m[k], m[swap] = m[swap], m[k]
-            sign = -sign
-        for i in range(k + 1, size):
-            for j in range(k + 1, size):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-        prev = m[k][k]
-    return sign * m[-1][-1]
-
-
 def spanning_set_for_normal(v: tuple[int, ...]) -> list[tuple[int, ...]]:
     """Root-system vectors spanning the hyperplane orthogonal to v.
 
@@ -321,20 +301,24 @@ def spanning_set_for_normal(v: tuple[int, ...]) -> list[tuple[int, ...]]:
     return span
 
 
-def _rank_int(rows: list[tuple[int, ...]]) -> int:
-    """Rank of an integer matrix by fraction-free (Bareiss) elimination.
+def _rank_det(rows: list[tuple[int, ...]]) -> tuple[int, int]:
+    """Rank and determinant of an integer matrix by Bareiss elimination.
 
-    As in :func:`_det_int`, every update divides exactly by the previous
-    pivot; a column with no pivot left is skipped.
+    Every update divides exactly by the previous pivot, and a column with
+    no pivot left is skipped.  The determinant is the last pivot signed by
+    the row swaps when the matrix is square of full rank, and 0 otherwise
+    (1 for the empty matrix).
     """
     m = [list(r) for r in rows]
     rank = 0
-    prev = 1
+    prev = sign = 1
     for col in range(len(m[0]) if m else 0):
         swap = next((r for r in range(rank, len(m)) if m[r][col]), None)
         if swap is None:
             continue
-        m[rank], m[swap] = m[swap], m[rank]
+        if swap != rank:
+            m[rank], m[swap] = m[swap], m[rank]
+            sign = -sign
         pivot = m[rank]
         for r in range(rank + 1, len(m)):
             row = m[r]
@@ -342,7 +326,8 @@ def _rank_int(rows: list[tuple[int, ...]]) -> int:
             m[r] = [(v * pivot[col] - f * p) // prev for v, p in zip(row, pivot)]
         prev = pivot[col]
         rank += 1
-    return rank
+    square = all(len(r) == len(m) for r in m)
+    return rank, sign * prev if square and rank == len(m) else 0
 
 
 def verify_discriminantal(n: int) -> bool:
@@ -359,7 +344,7 @@ def verify_discriminantal(n: int) -> bool:
             return False
         if any(sum(a * b for a, b in zip(r, v)) != 0 for r in span):
             return False
-        if _rank_int(span) != n - 1:
+        if _rank_det(span)[0] != n - 1:
             return False
     canonical = set(normals(n))
     for subset in itertools.combinations(roots, n - 1):
@@ -367,7 +352,7 @@ def verify_discriminantal(n: int) -> bool:
         normal = []
         for j in range(n):
             minor = [row[:j] + row[j + 1 :] for row in mat]
-            normal.append((-1) ** j * _det_int(minor) if n > 1 else 1)
+            normal.append((-1) ** j * _rank_det(minor)[1])
         if all(x == 0 for x in normal):
             continue  # not independent, spans no hyperplane
         g = 0

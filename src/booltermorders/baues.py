@@ -10,11 +10,11 @@ induce partial orders by grouping equal subset sums.
 
 from __future__ import annotations
 
+import math
+import operator
 from dataclasses import dataclass
 from typing import Sequence
 
-from . import lp
-from .arrangement import _rank_int
 from .core import (
     MAX_GROUND,
     OrderError,
@@ -146,73 +146,81 @@ def find_partial_weight(order: PartialTermOrder):
     return weights
 
 
-def _cone_is_zero(rows: list[list[int]], n: int) -> bool:
-    """Whether {w in R^n : row.w >= 0 for every row} is {0}.
+def _extreme_rays(rows, n: int) -> list[tuple[int, ...]]:
+    """The extreme rays of {w >= 0 : row.w >= 0 for every row}, sorted.
 
-    It is exactly when the rows positively span R^n, and by Davis (1954)
-    that holds iff they have rank n and some lam >= 1 has lam.rows = 0.
-    Writing lam = 1 + mu, the second condition is the feasibility of
-    sum_j mu_j row_j = -sum_j row_j with mu >= 0, an LP with n rows;
-    repeated rows change neither condition, so each row enters once.
+    Double description (Motzkin et al. 1953; Fukuda and Prodon 1996): the
+    unit vectors span the orthant, and each distinct row cuts the cone in
+    turn.  Rays on its nonnegative side stay.  Two rays on opposite strict
+    sides combine into one on the row when they are adjacent: no third
+    ray is tight on every constraint both are tight on, and those are at
+    least n - 2, the rank of a 2-face's equalities.  Each ray is a
+    gcd-reduced integer vector with the bitmask of its tight constraints:
+    bit i for w_i >= 0, bit n + k for the k-th row.
     """
-    rows = [list(row) for row in dict.fromkeys(map(tuple, rows))]
-    if _rank_int(rows) < n:
-        return False
-    target = [-sum(row[i] for row in rows) for i in range(n)]
-    status, _, _ = lp.maximize_dual(rows, [0] * len(rows), target)
-    return status == "optimal"
+    rays = [
+        (tuple(int(i == j) for j in range(n)), ((1 << n) - 1) & ~(1 << i)) for i in range(n)
+    ]
+    for k, row in enumerate(dict.fromkeys(map(tuple, rows))):
+        bit = 1 << (n + k)
+        pos, neg, kept = [], [], []
+        for ray, tight in rays:
+            value = sum(map(operator.mul, ray, row))
+            if value > 0:
+                pos.append((ray, tight, value))
+                kept.append((ray, tight))
+            elif value < 0:
+                neg.append((ray, tight, -value))
+            else:
+                kept.append((ray, tight | bit))
+        for p, tp, vp in pos:
+            for q, tq, vq in neg:
+                common = tp & tq
+                if common.bit_count() < n - 2 or any(
+                    t & common == common and t != tp and t != tq for _, t in rays
+                ):
+                    continue
+                ray = [vq * a + vp * b for a, b in zip(p, q)]
+                g = math.gcd(*ray)
+                kept.append((tuple(v // g for v in ray), common | bit))
+        rays = kept
+    return sorted(ray for ray, _ in rays)
+
+
+def _positive_rays(order: TermOrder) -> list[tuple[int, ...]]:
+    """The extreme rays with every coordinate positive of the order's cone.
+
+    The cone holds the weights w with w(a) <= w(b) for each two consecutive
+    subsets a, b; summing its rows gives w >= 0 and w(s) >= w(s_1) for the
+    first singleton s_1.  So a point of it induces a partial term order
+    (the empty set alone at the bottom) iff its coordinates are positive,
+    and some point is positive iff some extreme ray is.
+    """
+    require_valid(order)
+    return [ray for ray in _extreme_rays(_difference_rows(order), order.n) if all(ray)]
 
 
 def coherent_above_only_trivial(order: TermOrder) -> bool:
     """Whether the trivial partition is the only coherent coarsening.
 
-    Relaxing every consecutive comparison of the order to a weak
-    inequality gives a cone of weight vectors; any nonzero point of it
-    induces a nontrivial coherent partial order refined by the order.  The
-    cone is {0} iff the difference rows positively span R^n (Davis 1954),
-    tested by a rank and one feasibility LP with n rows.
+    Any positive point of the order's weight cone (see
+    :func:`_positive_rays`) induces a nontrivial coherent partial order
+    refined by the order, so the answer is yes iff no extreme ray of the
+    cone is positive.
     """
-    require_valid(order)
-    return _cone_is_zero(_difference_rows(order), order.n)
+    return not _positive_rays(order)
 
 
 def coherent_coarsenings_nontrivial(order: TermOrder) -> list[PartialTermOrder]:
-    """Nontrivial coherent partial orders refined by the order.
+    """The coarsest nontrivial coherent partial orders refined by the order.
 
-    Empty when the relaxed weight cone is {0}, decided by positive
-    spanning as in :func:`coherent_above_only_trivial`.  Otherwise,
-    enumerating the vertices of the cone is overkill at this scale;
-    instead each one comes from the nonzero cone point reached while
-    maximizing a signed coordinate over the cone cut by the box
-    -1 <= w <= 1.  Returned without duplicates.
+    One for each positive extreme ray of the order's weight cone, induced
+    by the ray and listed in the order of the rays; the ray is the
+    partial order's :func:`find_partial_weight`.  Every nontrivial
+    coherent coarsening is induced by a positive point of the cone, whose
+    face contains one of these rays.
     """
-    require_valid(order)
-    n = order.n
-    rows = _difference_rows(order)
-    if _cone_is_zero(rows, n):
-        return []
-    box_rows = []
-    box_rhs = []
-    for i in range(n):
-        row = [0] * n
-        row[i] = 1
-        box_rows.append(row)
-        box_rhs.append(-1)
-        box_rows.append([-v for v in row])
-        box_rhs.append(-1)
-    A = rows + box_rows
-    b = [0] * len(rows) + box_rhs
-    found = {}
-    for i in range(n):
-        for sign in (1, -1):
-            c = [0] * n
-            c[i] = -sign
-            status, x, obj = lp.minimize_ge(A, b, c)
-            if status == "optimal" and obj < 0:
-                p = PartialTermOrder.from_weight(x)
-                if p.num_levels > 1:
-                    found[p.level] = p
-    return list(found.values())
+    return [PartialTermOrder.from_weight(ray) for ray in _positive_rays(order)]
 
 
 # ---------------------------------------------------------------------------

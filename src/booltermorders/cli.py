@@ -154,11 +154,15 @@ def _cmd_enumerate(args) -> int:
     return 0
 
 
+def _weight_str(weights) -> str:
+    return f"({','.join(str(v) for v in weights)})"
+
+
 def _cmd_coherence(args) -> int:
     order = _load_order(args.file)
     weights = coherence.find_weight(order)
     if weights is not None:
-        print(f"coherent w=({','.join(str(v) for v in weights)})")
+        print(f"coherent w={_weight_str(weights)}")
         return 0
     print("incoherent")
     _print_certificate(coherence.noncoherence_certificate(order))
@@ -267,7 +271,8 @@ def _cmd_baues(args) -> int:
         print(f"coherent-above-only-trivial: {'yes' if only_trivial else 'no'}")
         if not only_trivial:
             for coarse in baues.coherent_coarsenings_nontrivial(order):
-                print(f"coarsening levels={coarse.num_levels}")
+                weights = baues.find_partial_weight(coarse)
+                print(f"coarsening w={_weight_str(weights)} levels={coarse.num_levels}")
         return 0 if only_trivial else 1
     order = _load_levels(args.file)
     coherent = baues.is_coherent_partial(order)

@@ -8,8 +8,11 @@ integer, right-hand sides and costs may be rational.  Problems here are
 tiny (tens of rows and columns), so a dense tableau is plenty.  Programs
 ``A x >= b`` with n unknowns and a row per distinct comparison of an order
 (at most 2^n - 1 + n) are solved on the dual side (:func:`maximize_dual`,
-one tableau row per unknown); :func:`minimize_ge` is the primal encoder,
-for callers that need a particular optimal vertex.
+one tableau row per unknown).  No library code calls the primal encoders
+:func:`minimize_ge` and :func:`feasible_ge`.  They stay only because the
+benchmark looks them up by name (``TARGETS`` in ``perfbench/tracer.py``,
+``PROBED_CALLS`` in ``perfbench/run.py``) and the tests call them;
+deleting them waits for the benchmark refresh planned in ROADMAP.md.
 """
 
 from __future__ import annotations

@@ -21,7 +21,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
-from .core import TermOrder, require_valid
+from .core import TermOrder, require_valid, union_violation
 
 SignVector = tuple[int, ...]
 
@@ -254,48 +254,28 @@ def check_mu_conditions(mu: Signature) -> MuReport:
 def partial_order_from_signature(mu: Signature):
     """Rebuild the level structure a passing signature encodes.
 
-    Subsets compare through the sign vector of their disjoint reduction;
-    incomparability classes become shared levels.  Raises if the relation
-    is not an ordered partition (the signature then fails the addition
-    conditions).
+    Subsets compare through the sign vector of their disjoint reduction.
+    One sort by that comparison orders the masks, and each strict step
+    starts a new level.  The levels are accepted when they satisfy the
+    union axiom and sign back to ``mu``: then every comparison is the
+    signature's.  Otherwise the relation is cyclic or its ties are not
+    transitive (the signature fails the addition conditions), and
+    ValueError is raised.
     """
     from .baues import PartialTermOrder
 
     n = mu.n
-    size = 1 << n
+    values = mu.values
 
-    def compare(u, v):
+    def compare(u, v):  # -1 when u lies below v
         common = u & v
-        ru, rv = u & ~common, v & ~common
-        if ru == rv:
-            return 0
-        x = from_parts(rv, ru, n)  # + iff u below v
-        return mu(x)
+        return -values[from_parts(v & ~common, u & ~common, n)] if u != v else 0
 
-    # group by incomparability, then sort groups
-    masks = list(range(size))
-    groups: list[list[int]] = []
-    for mask in masks:
-        for group in groups:
-            if compare(mask, group[0]) == 0:
-                group.append(mask)
-                break
-        else:
-            groups.append([mask])
-    for group in groups:
-        for u in group:
-            for v in group:
-                if compare(u, v) != 0:
-                    raise ValueError("incomparability is not transitive")
-    groups.sort(key=lambda g: sum(compare(v, g[0]) for v in masks))
-    level = [0] * size
-    for lvl, group in enumerate(groups):
-        for mask in group:
-            level[mask] = lvl
-    # a cyclic relation survives sorting; reject unless levels agree everywhere
-    for u in masks:
-        for v in masks:
-            cmp = compare(u, v)
-            if cmp != (level[v] > level[u]) - (level[v] < level[u]):
-                raise ValueError("signature comparisons contain a cycle")
-    return PartialTermOrder(n=n, level=tuple(level))
+    chain = sorted(range(1 << n), key=functools.cmp_to_key(compare))
+    level = [0] * len(chain)
+    for a, b in zip(chain, chain[1:]):
+        level[b] = level[a] + (compare(a, b) != 0)
+    order = PartialTermOrder(n, tuple(level))
+    if union_violation(order.level, n) is not None or mu_from_order(order).values != values:
+        raise ValueError("signature comparisons are not those of an ordered partition")
+    return order

@@ -7,13 +7,14 @@ much more expensive route, so the tests can compare the two on small cases.
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
 from typing import Iterator, Sequence
 
 import numpy as np
 
 from booltermorders import lp
-from booltermorders.arrangement import CharPoly, _rank_int, normals
+from booltermorders.arrangement import CharPoly, _rank_det, normals
 from booltermorders.baues import PartialTermOrder
 from booltermorders.coherence import (
     Certificate,
@@ -36,6 +37,7 @@ from booltermorders.omatroid import (
     LocalizationReport,
     Signature,
     cocircuit,
+    from_parts,
     negate,
     positive_part,
     sign_vectors,
@@ -382,8 +384,23 @@ def _rref(rows: list[list[Fraction]]) -> tuple[tuple[Fraction, ...], ...]:
 
 
 def rank_by_rref(rows) -> int:
-    """Reference for ``arrangement._rank_int``: the rank of a ``Fraction`` rref."""
+    """Reference for the rank of ``arrangement._rank_det``: the rank of a
+    ``Fraction`` rref."""
     return len(_rref([[Fraction(x) for x in r] for r in rows]))
+
+
+def det_leibniz(mat) -> int:
+    """Reference for the determinant of ``arrangement._rank_det``: the sum
+    over all permutations, each signed by its inversions."""
+    size = len(mat)
+    total = 0
+    for perm in itertools.permutations(range(size)):
+        inversions = sum(a > b for a, b in itertools.combinations(perm, 2))
+        term = (-1) ** inversions
+        for i, j in enumerate(perm):
+            term *= mat[i][j]
+        total += term
+    return total
 
 
 def _in_span(vector, span) -> bool:
@@ -450,6 +467,55 @@ def mu_from_order_checked(order) -> Signature:
         else:
             values[x] = 0
     return Signature(order.n, values)
+
+
+def partial_order_from_signature_pairs(mu: Signature):
+    """Reference for ``omatroid.partial_order_from_signature``: rebuild the
+    level structure a passing signature encodes, comparing every pair.
+
+    Subsets compare through the sign vector of their disjoint reduction;
+    incomparability classes become shared levels.  Raises if the relation
+    is not an ordered partition (the signature then fails the addition
+    conditions).
+    """
+    n = mu.n
+    size = 1 << n
+
+    def compare(u, v):
+        common = u & v
+        ru, rv = u & ~common, v & ~common
+        if ru == rv:
+            return 0
+        x = from_parts(rv, ru, n)  # + iff u below v
+        return mu(x)
+
+    # group by incomparability, then sort groups
+    masks = list(range(size))
+    groups: list[list[int]] = []
+    for mask in masks:
+        for group in groups:
+            if compare(mask, group[0]) == 0:
+                group.append(mask)
+                break
+        else:
+            groups.append([mask])
+    for group in groups:
+        for u in group:
+            for v in group:
+                if compare(u, v) != 0:
+                    raise ValueError("incomparability is not transitive")
+    groups.sort(key=lambda g: sum(compare(v, g[0]) for v in masks))
+    level = [0] * size
+    for lvl, group in enumerate(groups):
+        for mask in group:
+            level[mask] = lvl
+    # a cyclic relation survives sorting; reject unless levels agree everywhere
+    for u in masks:
+        for v in masks:
+            cmp = compare(u, v)
+            if cmp != (level[v] > level[u]) - (level[v] < level[u]):
+                raise ValueError("signature comparisons contain a cycle")
+    return PartialTermOrder(n=n, level=tuple(level))
 
 
 def check_localization_tuples(sigma: Signature) -> LocalizationReport:
@@ -679,9 +745,55 @@ def certificate_full_rows(order: TermOrder):
 
 
 def cone_is_zero_full_rows(rows: list[list[int]], n: int) -> bool:
-    """``baues._cone_is_zero`` with every row kept, repeats included."""
-    if _rank_int(rows) < n:
+    """Whether {w : row.w >= 0 for every row} is {0}, every row kept.
+
+    It is when the rows positively span R^n, by Davis (1954) when they
+    have rank n and some lam >= 1 has lam.rows = 0: with lam = 1 + mu, an
+    LP with n rows.
+    """
+    if _rank_det(rows)[0] < n:
         return False
     target = [-sum(row[i] for row in rows) for i in range(n)]
     status, _, _ = lp.maximize_dual(rows, [0] * len(rows), target)
     return status == "optimal"
+
+
+def extreme_rays_by_null_vectors(rows, n: int) -> list[tuple[int, ...]]:
+    """Reference for ``baues._extreme_rays``: the extreme rays of a pointed
+    cone {w : row.w >= 0 for every row}, sorted.
+
+    Each extreme ray is the null space of n - 1 independent rows it is
+    tight on.  So every (n - 1)-subset of the distinct rows gives its null
+    vector by cofactors (Leibniz determinants), reduced to coprime
+    integers; the vector or its negative is a ray when it satisfies every
+    row.  Pass the unit rows too for the rays of the cone in the orthant.
+    """
+    if not n:
+        return []
+    rows = list(dict.fromkeys(map(tuple, rows)))
+    rays = set()
+    for subset in itertools.combinations(rows, n - 1):
+        null = [
+            (-1) ** j * det_leibniz([row[:j] + row[j + 1 :] for row in subset])
+            for j in range(n)
+        ]
+        g = math.gcd(*null)
+        if not g:
+            continue
+        for sign in (1, -1):
+            ray = tuple(sign * v // g for v in null)
+            if all(sum(a * v for a, v in zip(row, ray)) >= 0 for row in rows):
+                rays.add(ray)
+    return sorted(rays)
+
+
+def has_positive_cone_point(rows: list[list[int]]) -> bool:
+    """Reference for "some extreme ray of an order's cone is positive".
+
+    ``rows`` are an order's difference rows, first the one of the empty
+    set and the first singleton s_1.  On the cone every coordinate is at
+    least w(s_1) >= 0, so a positive point is one with w(s_1) >= 1 after
+    scaling: the rows with right-hand side 1 on the first row and 0
+    elsewhere are feasible iff ``lp.farkas_ge`` finds no certificate.
+    """
+    return lp.farkas_ge(rows, [1] + [0] * (len(rows) - 1)) is None

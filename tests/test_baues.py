@@ -1,9 +1,11 @@
 import itertools
+import random
 
 import pytest
 
 from booltermorders.baues import (
     PartialTermOrder,
+    _extreme_rays,
     coherent_above_only_trivial,
     coherent_coarsenings_nontrivial,
     find_partial_weight,
@@ -18,12 +20,24 @@ from booltermorders.catalog import (
     noncoherent_five,
     rigid_noncoherent_six,
 )
-from booltermorders.coherence import find_weight, is_coherent, order_from_weight
+from booltermorders.coherence import (
+    _difference_rows,
+    find_weight,
+    is_coherent,
+    order_from_weight,
+)
 from booltermorders.core import OrderError, ParseError, full_mask, submasks
 from booltermorders.enumeration import enumerate_orders
-from booltermorders.flips import flip, flippable_pairs
+from booltermorders.flips import deficient_extension, flip, flippable_pairs
+from booltermorders.omatroid import mu_from_order, partial_order_from_signature
 from conftest import extended
-from oracles import is_union_violation, validate_partial_quadruples
+from oracles import (
+    cone_is_zero_full_rows,
+    extreme_rays_by_null_vectors,
+    has_positive_cone_point,
+    is_union_violation,
+    validate_partial_quadruples,
+)
 
 
 def test_from_weight_groups_ties():
@@ -107,12 +121,31 @@ def test_trivial_partial_order_is_coherent():
 
 
 def test_rigid_order_cone_is_trivial():
-    assert coherent_above_only_trivial(rigid_noncoherent_six())
-    assert coherent_coarsenings_nontrivial(rigid_noncoherent_six()) == []
+    rigid = rigid_noncoherent_six()
+    for order in (rigid, deficient_extension(rigid, 7)):
+        assert coherent_above_only_trivial(order)
+        assert coherent_coarsenings_nontrivial(order) == []
 
 
-# levels of the partitions induced by the box-LP vertices, in the order returned
+def test_first_boundary_class_n6_is_rigid():
+    # the cone is not {0}, but its only ray ties the empty set with {1},
+    # {2} and {3}, so no partial term order lies above the class
+    order = next(itertools.islice(enumerate_orders(6, mode="canonical"), 1434, None))
+    rows = _difference_rows(order)
+    assert _extreme_rays(rows, 6) == [(0, 0, 0, 1, 1, 2)]
+    assert not cone_is_zero_full_rows(rows, 6)
+    assert coherent_above_only_trivial(order)
+    assert coherent_coarsenings_nontrivial(order) == []
+
+
+# the positive extreme rays of the cone, sorted
 PINNED_COARSENINGS = {
+    noncoherent_five: [(1, 1, 2, 2, 2), (2, 3, 4, 5, 6)],
+    five_facet_four: [(1, 1, 1, 2), (1, 1, 1, 3), (1, 1, 2, 3), (1, 1, 2, 4)],
+}
+
+# the levels that maximizing signed coordinates over a box-cut cone reached
+BOX_LP_COARSENINGS = {
     noncoherent_five: [
         [[0], [1, 2], [3, 4, 8, 16], [5, 6, 9, 10, 17, 18], [7, 11, 12, 19, 20, 24],
          [13, 14, 21, 22, 25, 26], [15, 23, 27, 28], [29, 30], [31]],
@@ -129,25 +162,71 @@ def test_nonrigid_orders_have_coarsenings():
         order = make()
         assert not coherent_above_only_trivial(order)
         found = coherent_coarsenings_nontrivial(order)
-        assert [coarse.levels for coarse in found] == pinned
+        assert [find_partial_weight(coarse) for coarse in found] == pinned
+        assert [PartialTermOrder.from_weight(ray) for ray in pinned] == found
+        levels = [coarse.levels for coarse in found]
+        assert all(old in levels for old in BOX_LP_COARSENINGS[make])
         for coarse in found:
-            assert is_coherent_partial(coarse)
             assert refines(PartialTermOrder.from_total(order), coarse)
 
 
-@pytest.mark.xfail(
-    strict=True,
-    raises=OrderError,
-    reason="a box LP can stop at a vertex where the smallest singleton ties "
-    "with the empty set",
-)
+def check_coarsenings(order) -> int:
+    """Each coarsening is coherent with its ray as lex-min weight, refined
+    by the order, and rebuilt from its signature; the rays are sorted, and
+    there is none exactly when the cone is {0} (for n <= 5; not at n = 6)."""
+    rows = _difference_rows(order)
+    found = coherent_coarsenings_nontrivial(order)
+    weights = [find_partial_weight(coarse) for coarse in found]
+    assert None not in weights and weights == sorted(weights)
+    assert weights == [ray for ray in _extreme_rays(rows, order.n) if all(ray)]
+    fine = PartialTermOrder.from_total(order)
+    for coarse in found:
+        assert refines(fine, coarse) and coarse.num_levels > 1
+        assert partial_order_from_signature(mu_from_order(coarse)) == coarse
+    assert coherent_above_only_trivial(order) == (not found)
+    assert (not found) == cone_is_zero_full_rows(rows, order.n)
+    return len(found)
+
+
 def test_coherent_coarsenings_never_raise(canonical_orders):
-    orders = [order_from_weight((1, 2, 4), 3)]
-    orders += [order for n in range(1, 5) for order in canonical_orders[n]]
+    assert check_coarsenings(order_from_weight((1, 2, 4), 3)) == 1
+    totals = [sum(map(check_coarsenings, canonical_orders[n])) for n in range(1, 6)]
+    assert totals == [1, 1, 3, 38, 2444]
+
+
+def check_rays_by_null_vectors(orders) -> int:
+    total = 0
     for order in orders:
-        for coarse in coherent_coarsenings_nontrivial(order):
-            assert coarse.num_levels > 1 and is_coherent_partial(coarse)
-            assert refines(PartialTermOrder.from_total(order), coarse)
+        rows = _difference_rows(order)
+        rays = _extreme_rays(rows, order.n)
+        assert rays == extreme_rays_by_null_vectors(rows, order.n)
+        total += sum(all(ray) for ray in rays)
+    return total
+
+
+def test_extreme_rays_match_null_vector_oracle(canonical_orders):
+    orders = [order for n in range(1, 5) for order in canonical_orders[n]]
+    assert check_rays_by_null_vectors(orders) == 1 + 1 + 3 + 38
+    check_rays_by_null_vectors(random.Random(13).sample(canonical_orders[5], 25))
+
+
+@extended
+def test_extreme_rays_match_null_vector_oracle_n5(canonical_orders):
+    assert check_rays_by_null_vectors(canonical_orders[5]) == 2444
+
+
+@extended
+def test_positive_rays_match_farkas_oracle_n6():
+    total = no_ray = zero_cone = 0
+    for order in enumerate_orders(6, mode="canonical"):
+        rows = _difference_rows(order)
+        rays = [ray for ray in _extreme_rays(rows, 6) if all(ray)]
+        assert bool(rays) == has_positive_cone_point(list(dict.fromkeys(map(tuple, rows))))
+        total += len(rays)
+        if not rays:
+            no_ray += 1
+            zero_cone += cone_is_zero_full_rows(rows, 6)
+    assert (no_ray, zero_cone, total) == (8340, 5202, 965992)
 
 
 def walls(order):

@@ -198,6 +198,19 @@ def test_baues_coherent_above(capsys, tmp_path):
     assert out.splitlines()[0] == "coherent-above-only-trivial: yes"
 
 
+def test_baues_coherent_above_lex_order(capsys, tmp_path):
+    code, text, _ = run(capsys, "realize", "--w", "1,2,4")
+    assert code == 0
+    path = tmp_path / "lex3.bto"
+    path.write_text(text)
+    code, out, err = run(capsys, "baues", str(path), "--coherent-above")
+    assert (code, out, err) == (
+        1,
+        "coherent-above-only-trivial: no\ncoarsening w=(1,1,2) levels=5\n",
+        "",
+    )
+
+
 def test_baues_partial(capsys, tmp_path):
     path = tmp_path / "p.bto"
     path.write_text("n=2\n-\n1=2\n1,2\n")

@@ -32,7 +32,7 @@ from booltermorders.enumeration import enumerate_orders
 from booltermorders import lp
 from oracles import (
     certificate_full_rows,
-    cone_is_zero_full_rows,
+    has_positive_cone_point,
     lex_min_weight_full_rows,
 )
 
@@ -62,8 +62,8 @@ def assert_matches_full_rows(order):
     assert find_weight(order) == weight
     if weight is None:
         assert noncoherence_certificate(order) == certificate_full_rows(order)
-    assert coherent_above_only_trivial(order) == cone_is_zero_full_rows(
-        _difference_rows(order), order.n
+    assert coherent_above_only_trivial(order) != has_positive_cone_point(
+        _difference_rows(order)
     )
 
 

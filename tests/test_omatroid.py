@@ -1,7 +1,10 @@
+import functools
 import itertools
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from booltermorders.baues import PartialTermOrder
 from booltermorders.catalog import nonorder_localization_three, noncoherent_five
@@ -17,7 +20,7 @@ from booltermorders.omatroid import (
     partial_order_from_signature,
     sign_vectors,
 )
-from oracles import mu_from_order_checked
+from oracles import mu_from_order_checked, partial_order_from_signature_pairs
 
 
 def signs(text):
@@ -93,3 +96,60 @@ def test_nonorder_signature_fails_reconstruction():
     sig = Signature.from_positives(3, nonorder_localization_three())
     with pytest.raises(ValueError):
         partial_order_from_signature(sig)
+
+
+def rebuilt_levels(rebuild, sigma):
+    """The level array ``rebuild`` makes of sigma, or None when it raises."""
+    try:
+        return rebuild(sigma).level
+    except ValueError:
+        return None
+
+
+def assert_rebuilds_agree(sigma):
+    expected = rebuilt_levels(partial_order_from_signature_pairs, sigma)
+    assert rebuilt_levels(partial_order_from_signature, sigma) == expected
+    return expected
+
+
+def test_signature_rebuild_matches_pair_oracle():
+    orders = [o for n in range(5) for o in enumerate_orders(n, mode="canonical")]
+    orders += [
+        PartialTermOrder.from_weight(w)
+        for n in range(1, 6)
+        for w in itertools.combinations_with_replacement(range(1, 4), n)
+    ]
+    for order in orders:
+        level = order.rank if hasattr(order, "rank") else order.level
+        assert assert_rebuilds_agree(mu_from_order(order)) == level
+    assert assert_rebuilds_agree(Signature.from_positives(3, nonorder_localization_three())) is None
+    # the signing of a level map that breaks the union axiom: the sort
+    # meets every disjoint comparison but puts {1,3} below {3}
+    broken = PartialTermOrder(3, (0, 1, 2, 3, 2, 1, 2, 1))
+    assert assert_rebuilds_agree(mu_from_order(broken)) is None
+
+
+@functools.lru_cache(maxsize=None)
+def classes(n):
+    return list(enumerate_orders(n, mode="canonical"))
+
+
+@st.composite
+def signatures_one_pair_changed(draw):
+    """The signature of a relabeled class or a tied partial order (n = 1..4)
+    with one antipodal pair of values set to another sign."""
+    n = draw(st.integers(1, 4))
+    if draw(st.booleans()):
+        order = relabel(draw(st.sampled_from(classes(n))), draw(st.permutations(range(n))))
+    else:
+        order = PartialTermOrder.from_weight(draw(st.lists(st.integers(1, 4), min_size=n, max_size=n)))
+    values = dict(mu_from_order(order).values)
+    x = draw(st.sampled_from(sign_vectors(n)))
+    v = draw(st.sampled_from([s for s in (1, 0, -1) if s != values[x]]))
+    values[x], values[negate(x)] = v, -v
+    return Signature(n, values)
+
+
+@given(signatures_one_pair_changed())
+def test_changed_signature_rebuild_matches_pair_oracle(sigma):
+    assert_rebuilds_agree(sigma)

@@ -15,10 +15,10 @@ from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 from booltermorders import lp
-from booltermorders.arrangement import _rank_int
+from booltermorders.arrangement import _rank_det
 from booltermorders.baues import (
     PartialTermOrder,
-    _cone_is_zero,
+    _extreme_rays,
     find_partial_weight,
     parse_partial,
     refines,
@@ -60,6 +60,8 @@ from booltermorders.omatroid import (
 )
 from oracles import (
     check_localization_tuples,
+    det_leibniz,
+    extreme_rays_by_null_vectors,
     first_violation_list_scan,
     rank2_extension_patterns,
     fraction_solve_eq,
@@ -73,25 +75,6 @@ from oracles import (
     union_violation_list_scan,
     validate_partial_quadruples,
 )
-
-
-def cone_is_zero_by_box_lps(rows, n):
-    """Oracle: maximize each signed coordinate over the cone cut by -1 <= w <= 1."""
-    box = []
-    for i in range(n):
-        unit = [int(j == i) for j in range(n)]
-        box += [unit, [-v for v in unit]]
-    A = rows + box
-    b = [0] * len(rows) + [-1] * len(box)
-    for i in range(n):
-        for sign in (1, -1):
-            c = [0] * n
-            c[i] = -sign
-            status, _, obj = lp.minimize_ge(A, b, c)
-            assert status == "optimal"
-            if obj < 0:
-                return False
-    return True
 
 
 @st.composite
@@ -327,9 +310,12 @@ def sign_matrices(draw):
 
 
 @given(sign_matrices())
-def test_cone_test_matches_box_lps(case):
+@example(([[1, -1, 0], [0, 1, -1], [-1, 0, 1]], 3))  # a line of equalities: one ray
+@example(([[1, -1], [-1, 1], [0, -1]], 2))  # cut down to {0}: no ray
+def test_sign_matrix_rays_match_null_vector_oracle(case):
     rows, n = case
-    assert _cone_is_zero(rows, n) == cone_is_zero_by_box_lps(rows, n)
+    units = [[int(i == j) for j in range(n)] for i in range(n)]
+    assert _extreme_rays(rows, n) == extreme_rays_by_null_vectors(rows + units, n)
 
 
 @st.composite
@@ -347,7 +333,26 @@ def matrices_with_repeats(draw):
 @given(matrices_with_repeats())
 @example([[1, 1, 0, 1], [-1, -1, 1, 0], [1, 1, 1, -1]])  # the second column has no pivot
 def test_rank_int_matches_fraction_rref(rows):
-    assert _rank_int(rows) == rank_by_rref(rows)
+    assert _rank_det(rows)[0] == rank_by_rref(rows)
+
+
+@st.composite
+def square_matrices(draw):
+    """A small integer matrix, sometimes with a row that is the sum of two others."""
+    size = draw(st.integers(0, 5))
+    row = st.lists(st.integers(-3, 3), min_size=size, max_size=size)
+    mat = draw(st.lists(row, min_size=size, max_size=size))
+    if size >= 3 and draw(st.booleans()):
+        mat[0] = [a + b for a, b in zip(mat[1], mat[2])]
+    return draw(st.permutations(mat))
+
+
+@given(square_matrices())
+@example([[0, 1], [1, 0]])  # one row swap
+@example([[0, 0, 1], [0, 1, 0], [1, 0, 0]])  # one swap, then none
+@example([[2, 4], [1, 2]])  # rank 1
+def test_rank_det_matches_leibniz(mat):
+    assert _rank_det(mat) == (rank_by_rref(mat), det_leibniz(mat))
 
 
 def perturb(sigma, edits):
