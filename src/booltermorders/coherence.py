@@ -1,11 +1,12 @@
 """Coherence of term orders: weight vectors and noncoherence certificates.
 
 A term order is coherent when some positive weight vector induces it by
-subset sums.  Deciding this is an exact rational LP over the consecutive
-pairs of the order; the Farkas dual of an infeasible program yields a
-cancellation certificate in the style of Kraft, Pratt, and Seidenberg: a
-multiset of ordered disjoint pairs whose left and right sides coincide as
-multisets of ground elements.
+subset sums.  Deciding this is an exact rational LP over the distinct
+comparisons of consecutive levels, solved on the dual side: one
+lexicographic solve gives the least weight, and the Farkas dual of an
+infeasible program a cancellation certificate in the style of Kraft,
+Pratt, and Seidenberg: a multiset of ordered disjoint pairs whose left and
+right sides coincide as multisets of ground elements.
 """
 
 from __future__ import annotations
@@ -141,26 +142,10 @@ def _to_integer_weights(w: list[Fraction]) -> tuple[int, ...]:
 def _lex_min_weight(order):
     """The lex-min solution of :func:`_constraints` as coprime integers, or None.
 
-    Feasibility is decided by the Farkas dual, as in :func:`is_coherent`.
-    By strong duality each coordinate's minimum, with the earlier ones
-    pinned, is a dual optimum (n rows); a pin w_i = opt is a pair of
-    opposite rows, that is a free dual column.  The minimum is the vector
-    of these optima, so no primal program is solved.
+    One lexicographic dual solve (:func:`lp.lex_min_ge`); None when not coherent.
     """
-    n = order.n
-    rows, rhs = _constraints(order)
-    if lp.farkas_ge(rows, rhs) is not None:
-        return None
-    w = []
-    for i in range(n):
-        unit = [0] * n
-        unit[i] = 1
-        status, _, opt = lp.maximize_dual(rows, rhs, unit)
-        assert status == "optimal"
-        w.append(opt)
-        rows = rows + [unit, [-v for v in unit]]
-        rhs = rhs + [opt, -opt]
-    return _to_integer_weights(w)
+    w = lp.lex_min_ge(*_constraints(order), order.n)
+    return None if w is None else _to_integer_weights(w)
 
 
 def find_weight(order: TermOrder):

@@ -7,8 +7,10 @@ objectives are returned as exact Fractions.  Constraint matrices are
 integer, right-hand sides and costs may be rational.  Problems here are
 tiny (tens of rows and columns), so a dense tableau is plenty.  Programs
 ``A x >= b`` with n unknowns and a row per distinct comparison of an order
-(at most 2^n - 1 + n) are solved on the dual side (:func:`maximize_dual`,
-one tableau row per unknown).  No library code calls the primal encoders
+(at most 2^n - 1 + n) are solved on the dual side, one tableau row per
+unknown: :func:`farkas_ge` decides feasibility and :func:`lex_min_ge`
+finds the lexicographic minimum in one solve, its right-hand side
+lexicographic.  No library code calls the primal encoders
 :func:`minimize_ge` and :func:`feasible_ge`.  They stay only because the
 benchmark looks them up by name (``TARGETS`` in ``perfbench/tracer.py``,
 ``PROBED_CALLS`` in ``perfbench/run.py``) and the tests call them;
@@ -56,21 +58,23 @@ def _pivot(tab, basis, d, row, col):
     return p
 
 
-def _simplex(tab, basis, d, cost):
+def _simplex(tab, basis, d, cost, k):
     """Minimize cost over the tableau's feasible basis.
 
-    ``tab`` rows are integers [a_1 ... a_k | rhs] over the denominator d,
-    with the basic columns d times the identity; ``cost`` is rational over
-    the structural columns, scaled to integers by the lcm of its
-    denominators (a positive scale leaves every pivot as it is).  Returns
-    (denominator, objective); ``tab`` and ``basis`` are updated in place.
+    ``tab`` rows are integers [a_1 ... a_w | rhs_1 ... rhs_k] over the
+    denominator d, with the basic columns d times the identity; the
+    right-hand side rhs_1 + eps rhs_2 + ... (every small eps > 0) is
+    lexicographically nonnegative in each row.  ``cost`` is rational over the
+    structural columns, scaled to integers by the lcm of its denominators (a
+    positive scale leaves every pivot as it is).  Returns (denominator, the
+    objective's k eps-coefficients); ``tab`` and ``basis`` change in place.
     """
     m = len(tab)
     width = len(cost)
     scale = _lcm_of_denominators(cost)
     cost = [int(v * scale) for v in cost]
     # reduced-cost row over d * scale, pivoted with the tableau
-    red = [d * v for v in cost] + [0]
+    red = [d * v for v in cost] + [0] * k
     for r in range(m):
         cb = cost[basis[r]]
         if cb:
@@ -85,15 +89,19 @@ def _simplex(tab, basis, d, cost):
                     enter = j
                     break  # Bland: first improving column
             if enter < 0:
-                return d, Fraction(-red[-1], d * scale)
+                return d, [Fraction(-v, d * scale) for v in red[width:]]
             leave = -1
             for r in range(m):
                 a = tab[r][enter]
                 if a > 0:
-                    rhs = tab[r][-1]
-                    # ratios rhs / a compared by cross-multiplying (a > 0)
+                    rhs = tab[r][width]
+                    # ratios rhs / a compared by cross-multiplying (a > 0); on a
+                    # tie, the later columns (none for k = 1), then the basis index
                     if leave < 0 or rhs * best_a < best_rhs * a or (
-                        rhs * best_a == best_rhs * a and basis[r] < basis[leave]
+                        rhs * best_a == best_rhs * a
+                        and (basis[r] < basis[leave] if k == 1 else
+                             [v * best_a for v in tab[r][width + 1 :]] + [basis[r]]
+                             < [v * a for v in tab[leave][width + 1 :]] + [basis[leave]])
                     ):
                         best_rhs, best_a, leave = rhs, a, r
             if leave < 0:
@@ -103,33 +111,26 @@ def _simplex(tab, basis, d, cost):
         tab.pop()
 
 
-def solve_eq(
-    A: Sequence[Sequence[int]],
-    b: Sequence[Fraction],
-    c: Sequence[Fraction],
-):
-    """min c.x subject to A x = b, x >= 0, for integer A.
+def _solve_lex(A, B, c):
+    """:func:`solve_eq` for A x = B_1 + eps B_2 + ... + eps^(k-1) B_k, every small eps > 0.
 
-    Returns (status, x, objective) with status one of "optimal",
-    "infeasible", "unbounded"; x and the objective are Fractions.
+    x is the solution at eps = 0, the objective its k eps-coefficients.
     """
     m = len(A)
     n = len(A[0]) if m else len(c)
     # the whole tableau, artificial identity included, is scaled by d
-    d = _lcm_of_denominators(b)
+    d = _lcm_of_denominators([v for col in B for v in col])
     tab = []
     for i in range(m):
-        row = [d * index(v) for v in A[i]]
-        rhs = int(d * b[i])
-        if rhs < 0:
+        row = [d * index(v) for v in A[i]] + [0] * m + [int(d * col[i]) for col in B]
+        if row[n + m :] < [0] * len(B):
             row = [-v for v in row]
-            rhs = -rhs
-        tab.append(row + [0] * m + [rhs])
+        tab.append(row)
         tab[i][n + i] = d
     basis = [n + i for i in range(m)]
     # phase 1: drive out artificials
-    d, infeasibility = _simplex(tab, basis, d, [0] * n + [1] * m)
-    if infeasibility != 0:
+    d, infeasibility = _simplex(tab, basis, d, [0] * n + [1] * m, len(B))
+    if any(infeasibility):
         return "infeasible", None, None
     for r in range(m):
         if basis[r] >= n:
@@ -138,16 +139,26 @@ def solve_eq(
                     d = _pivot(tab, basis, d, r, j)
                     break
     keep = [r for r in range(m) if basis[r] < n]
-    tab = [tab[r][:n] + [tab[r][-1]] for r in keep]
+    tab = [tab[r][:n] + tab[r][n + m :] for r in keep]
     basis = [basis[r] for r in keep]
     try:
-        d, obj = _simplex(tab, basis, d, c)
+        d, obj = _simplex(tab, basis, d, c, len(B))
     except UnboundedError:
         return "unbounded", None, None
     x = [Fraction(0)] * n
     for r, j in enumerate(basis):
-        x[j] = Fraction(tab[r][-1], d)
+        x[j] = Fraction(tab[r][n], d)
     return "optimal", x, obj
+
+
+def solve_eq(A: Sequence[Sequence[int]], b: Sequence[Fraction], c: Sequence[Fraction]):
+    """min c.x subject to A x = b, x >= 0, for integer A.
+
+    Returns (status, x, objective) with status one of "optimal",
+    "infeasible", "unbounded"; x and the objective are Fractions.
+    """
+    status, x, obj = _solve_lex(A, [b], c)
+    return status, x, obj and obj[0]
 
 
 def feasible_ge(A: Sequence[Sequence[int]], b: Sequence[int]):
@@ -205,3 +216,17 @@ def minimize_ge(
     if status != "optimal":
         return status, None, None
     return status, [x[i] - x[n + i] for i in range(n)], obj
+
+
+def lex_min_ge(A: Sequence[Sequence[int]], b: Sequence[int], n: int):
+    """The lexicographic minimum of {x : A x >= b} over n unknowns, or None.
+
+    One dual solve (Dantzig, Orden and Wolfe 1955): the optimum of max b.y
+    over y.A = e_1 + eps e_2 + ... + eps^(n-1) e_n, y >= 0 has the
+    eps-coefficients x_1 ... x_n.  None when A x >= b is infeasible or
+    unbounded below in some coordinate (no minimum).
+    """
+    columns = [[a[j] for a in A] for j in range(n)]
+    units = [[int(i == j) for i in range(n)] for j in range(n)]
+    status, _, obj = _solve_lex(columns, units, [-v for v in b])
+    return None if obj is None else [-v for v in obj]

@@ -699,22 +699,33 @@ def constraints_full_rows(order) -> tuple[list[list[int]], list[int]]:
     return rows, rhs
 
 
-def lex_min_weight_full_rows(order):
-    """``coherence._lex_min_weight`` over :func:`constraints_full_rows`."""
-    n = order.n
-    rows, rhs = constraints_full_rows(order)
-    if lp.farkas_ge(rows, rhs) is not None:
+def lex_min_by_pins(A, b, n: int):
+    """Reference for ``lp.lex_min_ge``: 1 + n solves instead of one.
+
+    Feasibility of A x >= b is decided by the Farkas dual.  By strong
+    duality each coordinate's minimum, with the earlier ones pinned, is a
+    dual optimum (n rows); a pin x_i = opt is a pair of opposite rows, that
+    is a free dual column.  The minimum is the vector of these optima; a
+    coordinate that is unbounded below (an infeasible dual) gives None.
+    """
+    if lp.farkas_ge(A, b) is not None:
         return None
-    w = []
+    rows, rhs, x = list(A), list(b), []
     for i in range(n):
-        unit = [0] * n
-        unit[i] = 1
+        unit = [int(i == j) for j in range(n)]
         status, _, opt = lp.maximize_dual(rows, rhs, unit)
-        assert status == "optimal"
-        w.append(opt)
-        rows = rows + [unit, [-v for v in unit]]
-        rhs = rhs + [opt, -opt]
-    return _to_integer_weights(w)
+        if status != "optimal":
+            return None
+        x.append(opt)
+        rows += [unit, [-v for v in unit]]
+        rhs += [opt, -opt]
+    return x
+
+
+def lex_min_weight_full_rows(order):
+    """``coherence._lex_min_weight`` over :func:`constraints_full_rows`, by pins."""
+    w = lex_min_by_pins(*constraints_full_rows(order), order.n)
+    return None if w is None else _to_integer_weights(w)
 
 
 def certificate_full_rows(order: TermOrder):

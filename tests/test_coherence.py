@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -30,6 +31,7 @@ from booltermorders.coherence import (
 from booltermorders.core import DisjointPair, parse_order, relabel
 from booltermorders.enumeration import enumerate_orders
 from booltermorders import lp
+from conftest import extended
 from oracles import (
     certificate_full_rows,
     has_positive_cone_point,
@@ -79,6 +81,23 @@ def test_distinct_comparisons_match_full_rows(canonical_orders):
         for _ in range(20):
             weights = [rng.randint(1, 4) for _ in range(n)]
             assert_matches_full_rows(PartialTermOrder.from_weight(weights))
+
+
+def _n6_weights_match_full_rows(count):
+    """find_weight on the first n=6 classes: the lex-min by pins, None iff noncoherent."""
+    for order in itertools.islice(enumerate_orders(6, mode="canonical"), count):
+        weight = find_weight(order)
+        assert weight == lex_min_weight_full_rows(order)
+        assert (weight is None) == (not is_coherent(order))
+
+
+def test_find_weight_matches_full_rows_n6():
+    _n6_weights_match_full_rows(300)
+
+
+@extended
+def test_find_weight_matches_full_rows_n6_extended():
+    _n6_weights_match_full_rows(5000)
 
 
 def test_order_from_weight_basic():
@@ -195,6 +214,18 @@ def test_lp_exactness():
     assert x is not None
     assert all(isinstance(v, Fraction) for v in x)
     assert x[0] + x[1] >= 1 and x[0] - x[1] >= 0
+
+
+def test_lex_min_ge_edge_cases():
+    # zero unknowns: feasible exactly when no right-hand side is positive
+    assert lp.lex_min_ge([], [], 0) == []
+    assert lp.lex_min_ge([[], []], [0, -1], 0) == []
+    assert lp.lex_min_ge([[], []], [0, 1], 0) is None
+    # zero rows: every coordinate is unbounded below
+    assert lp.lex_min_ge([], [], 2) is None
+    assert lp.lex_min_ge([[1, 0], [0, 1], [1, 1]], [1, 1, 3], 2) == [1, 2]
+    assert lp.lex_min_ge([[1], [-1]], [1, 0], 1) is None  # infeasible
+    assert lp.lex_min_ge([[1, 1]], [1], 2) is None  # x_1 unbounded below
 
 
 def test_farkas_dichotomy():

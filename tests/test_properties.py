@@ -67,6 +67,7 @@ from oracles import (
     fraction_solve_eq,
     is_union_violation,
     is_valid_all_gammas,
+    lex_min_by_pins,
     rank_by_rref,
     read_levels_scan,
     refines_pairs,
@@ -134,6 +135,42 @@ def test_farkas_matches_fraction_oracle(canonical_orders):
         for order in canonical_orders[n]:
             rows, rhs = _constraints(order)
             assert lp.farkas_ge(rows, rhs) == farkas_by_fraction_oracle(rows, rhs)
+
+
+@st.composite
+def ge_systems(draw):
+    """A x >= b over n unknowns with small integer entries, n and m from 0.
+
+    With a flag, the rows x_i >= -2 are appended, so that a lexicographic
+    minimum exists more often; without it, most systems have none or are
+    infeasible.
+    """
+    n = draw(st.integers(0, 4))
+    m = draw(st.integers(0, 6))
+    A = draw(st.lists(st.lists(st.integers(-2, 2), min_size=n, max_size=n),
+                      min_size=m, max_size=m))
+    b = draw(st.lists(st.integers(-2, 2), min_size=m, max_size=m))
+    if draw(st.booleans()):
+        A += [[int(i == j) for j in range(n)] for i in range(n)]
+        b += [-2] * n
+    return A, b, n
+
+
+@given(ge_systems())
+@example(([], [], 0))  # nothing to solve
+@example(([[], []], [0, 1], 0))  # zero unknowns, infeasible
+@example(([], [], 2))  # zero rows: no minimum
+@example(([[1], [-1]], [1, 0], 1))  # infeasible
+@example(([[1, 0]], [0], 2))  # x_1 >= 0, but x_2 is unbounded below
+@example(([[1, 1], [1, 0], [-1, -1]], [1, 0, -3], 2))  # a minimum, (0, 1)
+def test_lex_min_ge_matches_pin_oracle(system):
+    # one lexicographic dual solve against 1 + n solves with pinned coordinates
+    A, b, n = system
+    x = lp.lex_min_ge(A, b, n)
+    assert x == lex_min_by_pins(A, b, n)
+    if x is not None:
+        assert all(type(v) is Fraction for v in x)
+        assert all(sum(a * v for a, v in zip(row, x)) >= beta for row, beta in zip(A, b))
 
 
 @st.composite
