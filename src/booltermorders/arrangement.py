@@ -270,37 +270,6 @@ def root_system(n: int) -> list[tuple[int, ...]]:
     return vectors
 
 
-def spanning_set_for_normal(v: tuple[int, ...]) -> list[tuple[int, ...]]:
-    """Root-system vectors spanning the hyperplane orthogonal to v.
-
-    Uses the positive/negative/zero support of the normal: e_i for zero
-    coordinates, differences within same-sign pairs, sums across opposite
-    signs.
-    """
-    n = len(v)
-    pos = [i for i in range(n) if v[i] > 0]
-    neg = [i for i in range(n) if v[i] < 0]
-    zero = [i for i in range(n) if v[i] == 0]
-    span = []
-    for i in zero:
-        e = [0] * n
-        e[i] = 1
-        span.append(tuple(e))
-    for group in (pos, neg):
-        for i, j in itertools.combinations(group, 2):
-            e = [0] * n
-            e[i] = 1
-            e[j] = -1
-            span.append(tuple(e))
-    for i in pos:
-        for j in neg:
-            e = [0] * n
-            e[i] = 1
-            e[j] = 1
-            span.append(tuple(e))
-    return span
-
-
 def _rank_det(rows: list[tuple[int, ...]]) -> tuple[int, int]:
     """Rank and determinant of an integer matrix by Bareiss elimination.
 
@@ -331,37 +300,21 @@ def _rank_det(rows: list[tuple[int, ...]]) -> tuple[int, int]:
 
 
 def verify_discriminantal(n: int) -> bool:
-    """Both directions of the root-system description of the arrangement.
+    """Whether the arrangement is the discriminantal arrangement of the root system.
 
-    Every sign-canonical normal's hyperplane is spanned by root-system
-    vectors, and every hyperplane spanned by n-1 independent root-system
-    vectors has a {0,+1,-1} normal.
+    The hyperplanes spanned by n - 1 vectors of :func:`root_system` must be
+    exactly the {0,+1,-1}-normal ones.  Each (n - 1)-subset of the roots
+    gives the cofactor normal of its span, zero when the subset is
+    dependent; the nonzero normals, gcd-reduced and sign-canonical, must
+    form the set :func:`normals`.
     """
-    roots = root_system(n)
-    for v in normals(n):
-        span = spanning_set_for_normal(v)
-        if any(r not in roots and tuple(-x for x in r) not in roots for r in span):
-            return False
-        if any(sum(a * b for a, b in zip(r, v)) != 0 for r in span):
-            return False
-        if _rank_det(span)[0] != n - 1:
-            return False
-    canonical = set(normals(n))
-    for subset in itertools.combinations(roots, n - 1):
-        mat = [list(r) for r in subset]
-        normal = []
-        for j in range(n):
-            minor = [row[:j] + row[j + 1 :] for row in mat]
-            normal.append((-1) ** j * _rank_det(minor)[1])
-        if all(x == 0 for x in normal):
-            continue  # not independent, spans no hyperplane
-        g = 0
-        for x in normal:
-            g = gcd(g, abs(x))
-        normal = [x // g for x in normal]
-        first = next(x for x in normal if x)
-        if first < 0:
-            normal = [-x for x in normal]
-        if any(abs(x) > 1 for x in normal) or tuple(normal) not in canonical:
-            return False
-    return True
+    spanned = set()
+    for subset in itertools.combinations(root_system(n), n - 1):
+        normal = [
+            (-1) ** j * _rank_det([r[:j] + r[j + 1 :] for r in subset])[1] for j in range(n)
+        ]
+        g = gcd(*normal)
+        if g:
+            g = g if next(x for x in normal if x) > 0 else -g
+            spanned.add(tuple(x // g for x in normal))
+    return spanned == set(normals(n))

@@ -26,7 +26,7 @@ from .core import (
     require_valid,
     union_violation,
 )
-from .coherence import _difference_rows, _lex_min_weight, subset_sum
+from .coherence import _constraints, _lex_min_weight, subset_sum
 
 
 class PartialOrderError(ParseError, OrderError):
@@ -190,14 +190,17 @@ def _extreme_rays(rows, n: int) -> list[tuple[int, ...]]:
 def _positive_rays(order: TermOrder) -> list[tuple[int, ...]]:
     """The extreme rays with every coordinate positive of the order's cone.
 
-    The cone holds the weights w with w(a) <= w(b) for each two consecutive
-    subsets a, b; summing its rows gives w >= 0 and w(s) >= w(s_1) for the
-    first singleton s_1.  So a point of it induces a partial term order
-    (the empty set alone at the bottom) iff its coordinates are positive,
-    and some point is positive iff some extreme ray is.
+    The cone holds the weights w with A w >= 0, for A the rows of the
+    weight program :func:`coherence._constraints`: w(a) <= w(b) for each of
+    the order's distinct comparisons a < b, then w_i >= 0, the orthant the
+    double description starts from.  On the cone w(s) >= w(s_1) for every
+    nonempty subset s and the first singleton s_1.  So a point of it
+    induces a partial term order (the empty set alone at the bottom) iff
+    its coordinates are positive, and some point is positive iff some
+    extreme ray is.
     """
     require_valid(order)
-    return [ray for ray in _extreme_rays(_difference_rows(order), order.n) if all(ray)]
+    return [ray for ray in _extreme_rays(_constraints(order)[0], order.n) if all(ray)]
 
 
 def coherent_above_only_trivial(order: TermOrder) -> bool:
@@ -252,9 +255,5 @@ def parse_partial(text: str) -> PartialTermOrder:
         raise PartialOrderError(str(exc)) from None
     report = validate_partial(order)
     if not report:
-        a, b, g = report.violations[0]
-        raise PartialOrderError(
-            f"comparison of {format_subset(a)} and {format_subset(b)} changes under "
-            f"{format_subset(g)}"
-        )
+        raise PartialOrderError(report.reason)
     return order

@@ -7,9 +7,8 @@ complement of the first in reverse (a consequence of the union axiom), so
 
 from __future__ import annotations
 
-from .core import TermOrder, complement, mask_of
 from .coherence import Certificate
-from .core import DisjointPair
+from .core import DisjointPair, TermOrder, complement, mask_of
 
 
 def complete_by_duality(n: int, prefix: list[int]) -> TermOrder:
@@ -25,8 +24,21 @@ def complete_by_duality(n: int, prefix: list[int]) -> TermOrder:
     return TermOrder.from_chain(n, chain)
 
 
-def _chain(n: int, *subsets: str) -> list[int]:
-    return [0 if s == "-" else mask_of(int(c) for c in s) for s in subsets]
+def _mask(text: str) -> int:
+    """A subset written as its digits, or ``-`` for the empty set."""
+    return 0 if text == "-" else mask_of(int(c) for c in text)
+
+
+def _chain(*subsets: str) -> list[int]:
+    return [_mask(s) for s in subsets]
+
+
+def _certificate(*pairs: tuple[str, str]) -> Certificate:
+    """Pairs written as (left, right) digit strings, each once."""
+    return Certificate(
+        pairs=tuple(DisjointPair(_mask(left), _mask(right)) for left, right in pairs),
+        multiplicities=(1,) * len(pairs),
+    )
 
 
 def noncoherent_five() -> TermOrder:
@@ -39,7 +51,6 @@ def noncoherent_five() -> TermOrder:
     return TermOrder.from_chain(
         5,
         _chain(
-            5,
             "-", "1", "2", "3", "4", "12", "5", "13",
             "23", "14", "15", "24", "25", "34", "123", "124",
             "35", "45", "125", "134", "135", "234", "235", "145",
@@ -50,14 +61,7 @@ def noncoherent_five() -> TermOrder:
 
 def noncoherent_five_certificate() -> Certificate:
     """Four-pair cancellation certificate for :func:`noncoherent_five`."""
-    pairs = [("4", "12"), ("23", "14"), ("15", "24"), ("124", "35")]
-    return Certificate(
-        pairs=tuple(
-            DisjointPair(mask_of(int(c) for c in l), mask_of(int(c) for c in r))
-            for l, r in pairs
-        ),
-        multiplicities=(1, 1, 1, 1),
-    )
+    return _certificate(("4", "12"), ("23", "14"), ("15", "24"), ("124", "35"))
 
 
 def five_facet_four() -> TermOrder:
@@ -68,7 +72,7 @@ def five_facet_four() -> TermOrder:
     (4,123).
     """
     return complete_by_duality(
-        4, _chain(4, "-", "1", "2", "3", "12", "13", "23", "4")
+        4, _chain("-", "1", "2", "3", "12", "13", "23", "4")
     )
 
 
@@ -82,7 +86,6 @@ def five_flippable_six() -> TermOrder:
     return complete_by_duality(
         6,
         _chain(
-            6,
             "-", "1", "2", "12", "3", "13", "4", "23",
             "14", "123", "24", "5", "124", "34", "15", "25",
             "6", "134", "234", "125", "35", "16", "26", "1234",
@@ -102,7 +105,6 @@ def rigid_noncoherent_six() -> TermOrder:
     return complete_by_duality(
         6,
         _chain(
-            6,
             "-", "1", "2", "12", "3", "13", "23", "123",
             "4", "14", "24", "124", "34", "5", "134", "234",
             "15", "25", "1234", "125", "35", "135", "235", "6",
@@ -123,14 +125,7 @@ def coherence_isolated_six() -> TermOrder:
 
 
 def coherence_isolated_six_certificate() -> Certificate:
-    pairs = [("5", "23"), ("34", "25"), ("26", "35"), ("235", "46")]
-    return Certificate(
-        pairs=tuple(
-            DisjointPair(mask_of(int(c) for c in l), mask_of(int(c) for c in r))
-            for l, r in pairs
-        ),
-        multiplicities=(1, 1, 1, 1),
-    )
+    return _certificate(("5", "23"), ("34", "25"), ("26", "35"), ("235", "46"))
 
 
 def nonorder_localization_three() -> list[tuple[int, ...]]:

@@ -92,16 +92,6 @@ def _indicator_difference(a: int, b: int, n: int) -> list[int]:
     return [((b >> i) & 1) - ((a >> i) & 1) for i in range(n)]
 
 
-def _difference_rows(order) -> list[list[int]]:
-    """Indicator differences between consecutive levels, first subset of each.
-
-    ``order`` is a :class:`TermOrder` (one subset per level) or a partial
-    order with ``levels``.
-    """
-    firsts = [group[0] for group in order.levels]
-    return [_indicator_difference(a, b, order.n) for a, b in zip(firsts, firsts[1:])]
-
-
 def _comparisons(order) -> list[tuple[int, int, int]]:
     """The weight program as distinct comparisons w(right) - w(left) >= rhs.
 

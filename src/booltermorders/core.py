@@ -197,22 +197,23 @@ class ValidationReport:
     def __bool__(self) -> bool:
         return self.ok
 
+    @property
+    def reason(self) -> str:
+        """A failed report's first problem in words: a structural message, else the triple."""
+        if self.structural:
+            return self.structural[0]
+        a, b, g = self.violations[0]
+        return (
+            f"comparison of {format_subset(a)} and {format_subset(b)} changes under "
+            f"{format_subset(g)}"
+        )
+
 
 def is_valid(order: TermOrder) -> bool:
-    """Fast check of the term-order axioms (no violation report).
-
-    The union axiom is checked by one scan per element (see
-    :func:`_first_violation`).  The answer is memoized on the order (see
-    :class:`TermOrder`).
-    """
+    """``validate(order).ok``, memoized on the order (see :class:`TermOrder`)."""
     valid = order.__dict__.get("_valid")
     if valid is None:
-        rank = order.rank
-        valid = order.__dict__["_valid"] = (
-            sorted(rank) == list(range(len(rank)))
-            and rank[0] == 0
-            and _first_violation(rank, rank, order.chain, order.n) is None
-        )
+        valid = order.__dict__["_valid"] = validate(order).ok
     return valid
 
 
@@ -327,8 +328,9 @@ def validate(order: TermOrder) -> ValidationReport:
 
 
 def require_valid(order: TermOrder) -> None:
+    """Raise :class:`OrderError` with :func:`validate`'s reason for an invalid order."""
     if not is_valid(order):
-        raise OrderError("not a valid boolean term order")
+        raise OrderError(validate(order).reason)
 
 
 # ---------------------------------------------------------------------------

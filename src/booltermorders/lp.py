@@ -8,9 +8,10 @@ integer, right-hand sides and costs may be rational.  Problems here are
 tiny (tens of rows and columns), so a dense tableau is plenty.  Programs
 ``A x >= b`` with n unknowns and a row per distinct comparison of an order
 (at most 2^n - 1 + n) are solved on the dual side, one tableau row per
-unknown: :func:`farkas_ge` decides feasibility and :func:`lex_min_ge`
-finds the lexicographic minimum in one solve, its right-hand side
-lexicographic.  No library code calls the primal encoders
+unknown, each by one call of the kernel: :func:`farkas_ge` decides
+feasibility and :func:`lex_min_ge` finds the lexicographic minimum, its
+right-hand side lexicographic.  :func:`solve_eq` is the kernel for one
+right-hand side.  No library code calls the primal encoders
 :func:`minimize_ge` and :func:`feasible_ge`.  They stay only because the
 benchmark looks them up by name (``TARGETS`` in ``perfbench/tracer.py``,
 ``PROBED_CALLS`` in ``perfbench/run.py``) and the tests call them;
@@ -167,30 +168,16 @@ def feasible_ge(A: Sequence[Sequence[int]], b: Sequence[int]):
     return minimize_ge(A, b, [0] * n)[1]
 
 
-def maximize_dual(
-    A: Sequence[Sequence[int]],
-    b: Sequence[Fraction],
-    c: Sequence[int],
-):
-    """max b.y subject to y.A = c, y >= 0: the dual of min c.x over A x >= b.
-
-    Returns (status, y, objective); by strong duality an optimal objective
-    equals the primal minimum.
-    """
-    rows = [[a[j] for a in A] for j in range(len(c))]
-    status, y, obj = solve_eq(rows, c, [-v for v in b])
-    return status, y, None if obj is None else -obj
-
-
 def farkas_ge(A: Sequence[Sequence[int]], b: Sequence[int]):
     """A vector lam >= 0 with lam.A = 0 and lam.b = 1, or None.
 
     By Farkas' lemma exactly one of this system and ``A x >= b`` is
-    solvable, so this is the dual route to :func:`feasible_ge`.
+    solvable, so this is the dual route to :func:`feasible_ge`.  One
+    kernel solve with zero cost: the columns of A, then b, are the rows.
     """
     n = len(A[0]) if A else 0
-    extended = [list(a) + [beta] for a, beta in zip(A, b)]
-    status, lam, _ = maximize_dual(extended, [0] * len(A), [0] * n + [1])
+    columns = [[a[j] for a in A] for j in range(n)] + [list(b)]
+    status, lam, _ = _solve_lex(columns, [[0] * n + [1]], [0] * len(A))
     return lam if status == "optimal" else None
 
 

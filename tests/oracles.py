@@ -18,7 +18,6 @@ from booltermorders.arrangement import CharPoly, _rank_det, normals
 from booltermorders.baues import PartialTermOrder
 from booltermorders.coherence import (
     Certificate,
-    _difference_rows,
     _indicator_difference,
     _to_integer_weights,
 )
@@ -672,6 +671,21 @@ def fraction_solve_eq(A, b, c):
 # the weight program with one row per consecutive comparison, repeats kept
 
 
+def difference_rows(order) -> list[list[int]]:
+    """Indicator differences between consecutive levels, first subset of each.
+
+    ``order`` is a :class:`TermOrder` (one subset per level) or a partial
+    order with ``levels``.  Repeats are kept, in chain order.
+    """
+    firsts = [group[0] for group in order.levels]
+    return [_indicator_difference(a, b, order.n) for a, b in zip(firsts, firsts[1:])]
+
+
+def transposed(rows, n: int) -> list[list[int]]:
+    """The n columns of ``rows``: the equality rows of the dual program."""
+    return [[row[j] for row in rows] for j in range(n)]
+
+
 def constraints_full_rows(order) -> tuple[list[list[int]], list[int]]:
     """The weight program A w >= b of a total or partial order.
 
@@ -684,7 +698,7 @@ def constraints_full_rows(order) -> tuple[list[list[int]], list[int]]:
     """
     n = order.n
     levels = order.levels
-    rows = _difference_rows(order)
+    rows = difference_rows(order)
     if len(levels[0]) == 1:
         for i in range(n):
             unit = [0] * n
@@ -703,19 +717,22 @@ def lex_min_by_pins(A, b, n: int):
     """Reference for ``lp.lex_min_ge``: 1 + n solves instead of one.
 
     Feasibility of A x >= b is decided by the Farkas dual.  By strong
-    duality each coordinate's minimum, with the earlier ones pinned, is a
-    dual optimum (n rows); a pin x_i = opt is a pair of opposite rows, that
-    is a free dual column.  The minimum is the vector of these optima; a
-    coordinate that is unbounded below (an infeasible dual) gives None.
+    duality each coordinate's minimum, with the earlier ones pinned, is the
+    optimum of the dual max rhs.y over y.rows = e_i, y >= 0 (n rows),
+    solved by ``lp.solve_eq`` as min -rhs.y; a pin x_i = opt is a pair of
+    opposite rows, that is a free dual column.  The minimum is the vector
+    of these optima; a coordinate that is unbounded below (an infeasible
+    dual) gives None.
     """
     if lp.farkas_ge(A, b) is not None:
         return None
     rows, rhs, x = list(A), list(b), []
     for i in range(n):
         unit = [int(i == j) for j in range(n)]
-        status, _, opt = lp.maximize_dual(rows, rhs, unit)
+        status, _, obj = lp.solve_eq(transposed(rows, n), unit, [-v for v in rhs])
         if status != "optimal":
             return None
+        opt = -obj
         x.append(opt)
         rows += [unit, [-v for v in unit]]
         rhs += [opt, -opt]
@@ -765,7 +782,7 @@ def cone_is_zero_full_rows(rows: list[list[int]], n: int) -> bool:
     if _rank_det(rows)[0] < n:
         return False
     target = [-sum(row[i] for row in rows) for i in range(n)]
-    status, _, _ = lp.maximize_dual(rows, [0] * len(rows), target)
+    status, _, _ = lp.solve_eq(transposed(rows, n), target, [0] * len(rows))
     return status == "optimal"
 
 

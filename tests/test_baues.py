@@ -6,6 +6,7 @@ import pytest
 from booltermorders.baues import (
     PartialTermOrder,
     _extreme_rays,
+    _positive_rays,
     coherent_above_only_trivial,
     coherent_coarsenings_nontrivial,
     find_partial_weight,
@@ -21,7 +22,6 @@ from booltermorders.catalog import (
     rigid_noncoherent_six,
 )
 from booltermorders.coherence import (
-    _difference_rows,
     find_weight,
     is_coherent,
     order_from_weight,
@@ -33,6 +33,7 @@ from booltermorders.omatroid import mu_from_order, partial_order_from_signature
 from conftest import extended
 from oracles import (
     cone_is_zero_full_rows,
+    difference_rows,
     extreme_rays_by_null_vectors,
     has_positive_cone_point,
     is_union_violation,
@@ -131,7 +132,7 @@ def test_first_boundary_class_n6_is_rigid():
     # the cone is not {0}, but its only ray ties the empty set with {1},
     # {2} and {3}, so no partial term order lies above the class
     order = next(itertools.islice(enumerate_orders(6, mode="canonical"), 1434, None))
-    rows = _difference_rows(order)
+    rows = difference_rows(order)
     assert _extreme_rays(rows, 6) == [(0, 0, 0, 1, 1, 2)]
     assert not cone_is_zero_full_rows(rows, 6)
     assert coherent_above_only_trivial(order)
@@ -173,12 +174,14 @@ def test_nonrigid_orders_have_coarsenings():
 def check_coarsenings(order) -> int:
     """Each coarsening is coherent with its ray as lex-min weight, refined
     by the order, and rebuilt from its signature; the rays are sorted, and
-    there is none exactly when the cone is {0} (for n <= 5; not at n = 6)."""
-    rows = _difference_rows(order)
+    there is none exactly when the cone is {0} (for n <= 5; not at n = 6).
+    The rays are those of the cone cut by the difference rows alone."""
+    rows = difference_rows(order)
+    rays = _positive_rays(order)
+    assert rays == [ray for ray in _extreme_rays(rows, order.n) if all(ray)]
     found = coherent_coarsenings_nontrivial(order)
     weights = [find_partial_weight(coarse) for coarse in found]
-    assert None not in weights and weights == sorted(weights)
-    assert weights == [ray for ray in _extreme_rays(rows, order.n) if all(ray)]
+    assert None not in weights and weights == sorted(weights) == rays
     fine = PartialTermOrder.from_total(order)
     for coarse in found:
         assert refines(fine, coarse) and coarse.num_levels > 1
@@ -197,7 +200,7 @@ def test_coherent_coarsenings_never_raise(canonical_orders):
 def check_rays_by_null_vectors(orders) -> int:
     total = 0
     for order in orders:
-        rows = _difference_rows(order)
+        rows = difference_rows(order)
         rays = _extreme_rays(rows, order.n)
         assert rays == extreme_rays_by_null_vectors(rows, order.n)
         total += sum(all(ray) for ray in rays)
@@ -219,8 +222,9 @@ def test_extreme_rays_match_null_vector_oracle_n5(canonical_orders):
 def test_positive_rays_match_farkas_oracle_n6():
     total = no_ray = zero_cone = 0
     for order in enumerate_orders(6, mode="canonical"):
-        rows = _difference_rows(order)
+        rows = difference_rows(order)
         rays = [ray for ray in _extreme_rays(rows, 6) if all(ray)]
+        assert _positive_rays(order) == rays
         assert bool(rays) == has_positive_cone_point(list(dict.fromkeys(map(tuple, rows))))
         total += len(rays)
         if not rays:

@@ -278,6 +278,17 @@ def test_certify_rejects_invalid_order(capsys, tmp_path):
     assert out.startswith("invalid: ")
 
 
+def test_invalid_order_reason_is_the_same_everywhere(capsys, tmp_path):
+    path = tmp_path / "bad.bto"
+    path.write_text("n=2\n-\n1\n1,2\n2\n")
+    for command in ("coherence", "flips", "validate"):
+        assert run(capsys, command, str(path)) == (
+            1,
+            "invalid: comparison of - and 1 changes under 2\n",
+            "",
+        ), command
+
+
 def test_validate_reads_partial_orders(capsys, tmp_path):
     path = tmp_path / "p.bto"
     path.write_text("n=2\n-\n1=2  # tie\n1,2\n")

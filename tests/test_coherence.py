@@ -19,7 +19,6 @@ from booltermorders.catalog import (
 from booltermorders.coherence import (
     Certificate,
     _constraints,
-    _difference_rows,
     CoherentOrderError,
     TieError,
     find_weight,
@@ -34,6 +33,7 @@ from booltermorders import lp
 from conftest import extended
 from oracles import (
     certificate_full_rows,
+    difference_rows,
     has_positive_cone_point,
     lex_min_weight_full_rows,
 )
@@ -65,7 +65,7 @@ def assert_matches_full_rows(order):
     if weight is None:
         assert noncoherence_certificate(order) == certificate_full_rows(order)
     assert coherent_above_only_trivial(order) != has_positive_cone_point(
-        _difference_rows(order)
+        difference_rows(order)
     )
 
 

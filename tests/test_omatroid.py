@@ -40,7 +40,14 @@ def test_cocircuit_antipodal():
 
 def test_signature_antisymmetry_enforced():
     values = {x: 1 for x in sign_vectors(2)}
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="not antisymmetric"):
+        Signature(2, values)
+
+
+def test_signature_requires_every_value():
+    # a vector counts as given when it or its negative is, so drop both
+    values = {x: 0 for x in sign_vectors(2) if x not in (signs("+-"), signs("-+"))}
+    with pytest.raises(ValueError, match="missing value"):
         Signature(2, values)
 
 

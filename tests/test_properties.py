@@ -73,6 +73,7 @@ from oracles import (
     refines_pairs,
     relabel_image_table,
     singleton_axioms_two_lists,
+    transposed,
     union_violation_list_scan,
     validate_partial_quadruples,
 )
@@ -204,8 +205,9 @@ def test_repeated_rows_change_no_pivot(case):
         return lam and [0 if copy else lam[k] for k, copy in entries]
 
     assert spread(lp.farkas_ge(A, b)) == lp.farkas_ge(A2, b2)
-    status, y, obj = lp.maximize_dual(A, b, c)
-    assert (status, spread(y), obj) == lp.maximize_dual(A2, b2, c)
+    # the dual of min c.x over A x >= b: min -b.y over y.A = c, y >= 0
+    status, y, obj = lp.solve_eq(transposed(A, len(c)), c, [-v for v in b])
+    assert (status, spread(y), obj) == lp.solve_eq(transposed(A2, len(c)), c, [-v for v in b2])
 
 
 @given(
