@@ -4,8 +4,10 @@ A partial term order is an ordered partition of the subsets of [n] into
 levels, with the empty set alone at the bottom, that is compatible with
 disjoint unions: for disjoint gamma, the comparison of alpha and beta
 (below, same level, above) is preserved when both sides gain gamma.
-Total orders are the partitions into singleton levels; weight vectors
-induce partial orders by grouping equal subset sums.
+Total orders are the tie-free case and share ``core``'s level-array
+checks, so ``validate_partial`` and ``serialize_partial`` are
+``core.validate`` and ``core.serialize_order``; weight vectors induce
+partial orders by grouping equal subset sums.
 """
 
 from __future__ import annotations
@@ -16,15 +18,16 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .core import (
-    MAX_GROUND,
+    LevelArray,
     OrderError,
     ParseError,
     TermOrder,
-    ValidationReport,
-    format_subset,
+    _shape,
     read_levels,
     require_valid,
-    union_violation,
+    serialize_order,
+    structural_fault,
+    validate,
 )
 from .coherence import _constraints, _lex_min_weight, subset_sum
 
@@ -34,37 +37,29 @@ class PartialOrderError(ParseError, OrderError):
 
 
 @dataclass(frozen=True)
-class PartialTermOrder:
+class PartialTermOrder(LevelArray):
     """Levels of an ordered partition of the subsets of [n].
 
-    ``level[mask]`` is the 0-based level of the subset; levels are
-    contiguous and the empty set sits alone at level 0 (except in the
-    trivial one-level partition).
+    ``level[mask]`` is the 0-based level of the subset.  The constructor
+    checks the shape and the structure (:func:`core.structural_fault`):
+    levels are contiguous and the empty set sits alone at level 0, except
+    in the trivial one-level partition.  Use :func:`validate_partial` for
+    the union axiom.
     """
 
     n: int
     level: tuple[int, ...]
 
     def __post_init__(self):
-        if not 0 <= self.n <= MAX_GROUND:
-            raise OrderError(f"n must be in 0..{MAX_GROUND}, got {self.n}")
-        size = 1 << self.n
-        if len(self.level) != size:
-            raise OrderError(
-                f"level array must have 2^{self.n} = {size} entries, got {len(self.level)}"
-            )
-        top = max(self.level)
-        if sorted(set(self.level)) != list(range(top + 1)):
-            raise OrderError("levels must be contiguous starting from 0")
-        if self.level[0] != 0:
-            raise OrderError("the empty set must lie at the bottom level")
-        if top > 0 and self.level.count(0) != 1:
-            raise OrderError("the empty set must be alone at the bottom level")
+        object.__setattr__(self, "level", _shape(self.n, self.level))
+        fault = structural_fault(self.level)
+        if fault is not None:
+            raise OrderError(fault)
 
     @classmethod
     def from_total(cls, order: TermOrder) -> "PartialTermOrder":
         require_valid(order)
-        return cls(order.n, order.rank)
+        return cls(order.n, order.level)
 
     @classmethod
     def from_weight(cls, weights: Sequence) -> "PartialTermOrder":
@@ -80,38 +75,15 @@ class PartialTermOrder:
         """Everything on one level."""
         return cls(n, (0,) * (1 << n))
 
-    @property
-    def num_levels(self) -> int:
-        return max(self.level) + 1
-
-    @property
-    def levels(self) -> list[list[int]]:
-        """Subsets grouped by level, each group sorted by mask."""
-        out: list[list[int]] = [[] for _ in range(self.num_levels)]
-        for mask, lvl in enumerate(self.level):
-            out[lvl].append(mask)
-        return out
-
-    def is_total(self) -> bool:
-        return self.num_levels == len(self.level)
-
     def to_total(self) -> TermOrder:
         if not self.is_total():
             raise OrderError("partial order has ties; not a total order")
         return TermOrder(self.n, self.level)
 
 
-def validate_partial(order: PartialTermOrder) -> ValidationReport:
-    """Check disjoint-union compatibility of the level map.
-
-    For disjoint alpha, beta, gamma the comparison of alpha and beta must
-    equal that of alpha + gamma and beta + gamma.  One violating triple is
-    reported, found by :func:`core.union_violation`.
-    """
-    found = union_violation(order.level, order.n)
-    if found is None:
-        return ValidationReport(True)
-    return ValidationReport(False, violations=[found])
+# one validator and one writer serve total and partial orders
+validate_partial = validate
+serialize_partial = serialize_order
 
 
 def refines(fine: PartialTermOrder, coarse: PartialTermOrder) -> bool:
@@ -230,30 +202,17 @@ def coherent_coarsenings_nontrivial(order: TermOrder) -> list[PartialTermOrder]:
 # order-file format with levels
 
 
-def serialize_partial(order: PartialTermOrder) -> str:
-    """Order-file text; subsets on a shared level are joined with '='."""
-    lines = [f"n={order.n}"]
-    for group in order.levels:
-        lines.append("=".join(format_subset(mask) for mask in group))
-    return "\n".join(lines) + "\n"
-
-
 def parse_partial(text: str) -> PartialTermOrder:
-    """Inverse of :func:`serialize_partial`; the format is :func:`core.read_levels`.
+    """Parse a total or partial order file (see :func:`core.read_levels`).
 
     A malformed file raises :class:`ParseError`; well-formed levels that
-    are not a partial term order raise :class:`PartialOrderError`.
+    are not a partial term order raise :class:`PartialOrderError`, with
+    :func:`validate_partial`'s reason.
     """
-    n, levels = read_levels(text)
-    level = [0] * (1 << n)
-    for lvl, group in enumerate(levels):
-        for mask in group:
-            level[mask] = lvl
+    n, level = read_levels(text)
     try:
-        order = PartialTermOrder(n, tuple(level))
+        order = PartialTermOrder(n, level)
+        require_valid(order)
     except OrderError as exc:
         raise PartialOrderError(str(exc)) from None
-    report = validate_partial(order)
-    if not report:
-        raise PartialOrderError(report.reason)
     return order

@@ -1,14 +1,17 @@
-"""Ground-set subsets as bitmasks, total term orders, validation and file I/O.
+"""Ground-set subsets as bitmasks, term orders as level arrays, validation and file I/O.
 
 A subset of [n] = {1, ..., n} is stored as an n-bit mask with bit i-1 set
-iff element i is in the subset.  A term order is a rank array over all 2^n
-masks: rank[mask] is the position of the subset, 0-based, with the empty
-set required at position 0.
+iff element i is in the subset.  A term order is a level array over all
+2^n masks: level[mask] is the 0-based level of the subset, with the empty
+set alone at the bottom.  A total order (:class:`TermOrder`) is the
+tie-free case, whose levels are ranks; partial orders (``baues``) share
+its structural check, validator, reader and writer.
 
-The union axiom is checked by one scan per element (``_first_violation``),
-shared by total and partial orders.  For n <= 8 each mask fits in a byte
-and the scan runs on the chain as ``bytes``, through translation tables
-built on first use; for 9 <= n <= 16 it compares rank lists.
+The union axiom is checked by one scan per element (``_first_violation``)
+along a chain of the masks by level; an array with ties is scanned along
+two tie splits (:func:`union_violation`).  For n <= 8 each mask fits in a
+byte and the scan runs on the chain as ``bytes``, through translation
+tables built on first use; for 9 <= n <= 16 it compares rank lists.
 """
 
 from __future__ import annotations
@@ -142,9 +145,62 @@ def reduced_pair(left: int, right: int) -> tuple[int, int]:
 # term orders
 
 
+def _shape(n: int, level: Sequence[int]) -> tuple[int, ...]:
+    """The level array as a tuple, once n is in 0..MAX_GROUND and it has 2^n entries."""
+    if not 0 <= n <= MAX_GROUND:
+        raise OrderError(f"ground-set size must be in 0..{MAX_GROUND}, got {n}")
+    level = tuple(level)
+    if len(level) != 1 << n:
+        raise OrderError(f"level array has length {len(level)}, expected {1 << n}")
+    return level
+
+
+_GAPS = "levels must be contiguous starting from 0"
+
+
+def structural_fault(level: Sequence[int]) -> str | None:
+    """The first structural fault of a level array, or None.
+
+    The levels must be contiguous from 0, and the empty set must lie at
+    the bottom level, alone there unless it is the only level.
+    """
+    distinct = sorted(set(level))  # k distinct integers from 0 to k - 1 are 0..k-1
+    if distinct[0] != 0 or distinct[-1] != len(distinct) - 1:
+        return _GAPS
+    if level[0]:
+        return "the empty set must lie at the bottom level"
+    if 1 < len(distinct) < len(level) and level.count(0) != 1:
+        return "the empty set must be alone at the bottom level"
+    return None
+
+
+class LevelArray:
+    """Views of the level array ``level`` of a total or partial order."""
+
+    @property
+    def levels(self) -> list[list[int]]:
+        """Subsets grouped by level, lowest first, each group sorted by mask."""
+        out: list[list[int]] = [[] for _ in range(max(self.level) + 1)]
+        for mask, lvl in enumerate(self.level):
+            out[lvl].append(mask)
+        return out
+
+    @property
+    def chain(self) -> tuple[int, ...]:
+        """Subset masks by increasing level, tied ones by increasing mask."""
+        return tuple(mask for group in self.levels for mask in group)
+
+    @property
+    def num_levels(self) -> int:
+        return max(self.level) + 1
+
+    def is_total(self) -> bool:
+        return self.num_levels == len(self.level)
+
+
 @dataclass(frozen=True)
-class TermOrder:
-    """A candidate total order on the subsets of [n].
+class TermOrder(LevelArray):
+    """A candidate total order on the subsets of [n]: ``rank``, its level array.
 
     The constructor only checks the shape; use :func:`validate` to test the
     order axioms.  Instances are immutable and hashable.  Only :func:`is_valid`
@@ -156,13 +212,7 @@ class TermOrder:
     rank: tuple[int, ...]
 
     def __post_init__(self):
-        if not 0 <= self.n <= MAX_GROUND:
-            raise OrderError(f"ground-set size must be in 0..{MAX_GROUND}, got {self.n}")
-        object.__setattr__(self, "rank", tuple(self.rank))
-        if len(self.rank) != 1 << self.n:
-            raise OrderError(
-                f"rank array has length {len(self.rank)}, expected {1 << self.n}"
-            )
+        object.__setattr__(self, "rank", _shape(self.n, self.rank))
 
     @classmethod
     def from_chain(cls, n: int, chain: Sequence[int]) -> "TermOrder":
@@ -173,17 +223,16 @@ class TermOrder:
         return cls(n, tuple(rank))
 
     @property
+    def level(self) -> tuple[int, ...]:
+        return self.rank
+
+    @property
     def chain(self) -> tuple[int, ...]:
         """Subset masks in rank order."""
         inv = [0] * len(self.rank)
         for mask, r in enumerate(self.rank):
             inv[r] = mask
         return tuple(inv)
-
-    @property
-    def levels(self) -> list[list[int]]:
-        """The chain as one-subset levels, as in a partial order."""
-        return [[mask] for mask in self.chain]
 
 
 @dataclass
@@ -209,7 +258,7 @@ class ValidationReport:
         )
 
 
-def is_valid(order: TermOrder) -> bool:
+def is_valid(order) -> bool:
     """``validate(order).ok``, memoized on the order (see :class:`TermOrder`)."""
     valid = order.__dict__.get("_valid")
     if valid is None:
@@ -301,33 +350,36 @@ def union_violation(level: Sequence[int], n: int) -> tuple[int, int, int] | None
     size = 1 << n
     for sign in (1, -1):
         chain = sorted(range(size), key=lambda m: (level[m], sign * m))
-        rank = [0] * size
-        for pos, mask in enumerate(chain):
-            rank[mask] = pos
-        found = _first_violation(level, rank, chain, n)
+        found = _first_violation(level, TermOrder.from_chain(n, chain).rank, chain, n)
         if found is not None:
             return found
     return None
 
 
-def validate(order: TermOrder) -> ValidationReport:
-    """Check the axioms, reporting structural problems and one violating triple.
+def validate(order) -> ValidationReport:
+    """Check a total or partial order: a structural fault and one violating triple.
 
-    Structural problems (rank not a permutation, the empty set not first)
-    are messages.  A breach of the union axiom is the triple (alpha, beta,
-    gamma) of :func:`_first_violation`: pairwise disjoint, gamma nonempty,
-    alpha below beta but alpha ∪ gamma not below beta ∪ gamma.
+    The fault is :func:`structural_fault`'s, or a tie in a total order; a
+    total order with gaps or ties is not scanned.  The triple (alpha, beta,
+    gamma), alpha not above beta, is one of :func:`_first_violation` along
+    the chain of a tie-free array, or along the tie splits of
+    :func:`union_violation`.
     """
-    rank = order.rank
-    if sorted(rank) != list(range(len(rank))):
-        return ValidationReport(False, ["rank array is not a permutation of 0..2^n-1"])
-    structural = [f"empty set has rank {rank[0]}, expected 0"] if rank[0] else []
-    found = _first_violation(rank, rank, order.chain, order.n)
+    level = order.level
+    fault = structural_fault(level)
+    tie_free = fault != _GAPS and max(level) + 1 == len(level)
+    if not tie_free and isinstance(order, TermOrder):
+        return ValidationReport(False, [fault or "a total order has no ties"])
+    if tie_free:
+        found = _first_violation(level, level, order.chain, order.n)
+    else:
+        found = union_violation(level, order.n)
+    structural = [] if fault is None else [fault]
     violations = [] if found is None else [found]
     return ValidationReport(not structural and not violations, structural, violations)
 
 
-def require_valid(order: TermOrder) -> None:
+def require_valid(order) -> None:
     """Raise :class:`OrderError` with :func:`validate`'s reason for an invalid order."""
     if not is_valid(order):
         raise OrderError(validate(order).reason)
@@ -371,11 +423,6 @@ def canonicalize(order: TermOrder) -> TermOrder:
     return relabel(order, perm)
 
 
-def is_canonical(order: TermOrder) -> bool:
-    rank = order.rank
-    return all(rank[1 << i] < rank[1 << (i + 1)] for i in range(order.n - 1))
-
-
 # ---------------------------------------------------------------------------
 # order files
 
@@ -393,8 +440,8 @@ def _subset_names(n: int) -> dict[str, int]:
     return dict(zip(spelled, range(1 << n)))
 
 
-def read_levels(text: str) -> tuple[int, list[list[int]]]:
-    """Read an order file, total or partial, into n and its levels.
+def read_levels(text: str) -> tuple[int, tuple[int, ...]]:
+    """Read an order file, total or partial, into n and its level array.
 
     ``#`` starts a comment anywhere on a line, and blank lines are skipped.
     An optional first line ``n=<k>`` gives k; without it, k is the largest
@@ -431,10 +478,9 @@ def read_levels(text: str) -> tuple[int, list[list[int]]]:
     if not 0 <= n <= MAX_GROUND:
         raise ParseError(f"n={n} out of range 0..{MAX_GROUND}", header_no)
     names = _subset_names(n)
-    levels = []
+    level = [0] * (1 << n)
     seen = set()
-    for no, body in lines:
-        group = []
+    for lvl, (no, body) in enumerate(lines):
         for part in body.split("="):
             mask = names.get(part.strip())
             if mask is None:  # another spelling, or not a subset of [n]
@@ -442,11 +488,10 @@ def read_levels(text: str) -> tuple[int, list[list[int]]]:
             if mask in seen:
                 raise ParseError(f"duplicate subset {part.strip()!r}", no)
             seen.add(mask)
-            group.append(mask)
-        levels.append(group)
+            level[mask] = lvl
     if len(seen) != 1 << n:
         raise ParseError(f"expected {1 << n} subsets, got {len(seen)}")
-    return n, levels
+    return n, tuple(level)
 
 
 def parse_order(text: str) -> TermOrder:
@@ -454,11 +499,17 @@ def parse_order(text: str) -> TermOrder:
 
     The axioms are not checked; use :func:`validate` or :func:`is_valid`.
     """
-    n, levels = read_levels(text)
-    if len(levels) != 1 << n:
+    order = TermOrder(*read_levels(text))
+    if not order.is_total():
         raise ParseError("subsets joined by '=' in a total order")
-    return TermOrder.from_chain(n, [group[0] for group in levels])
+    return order
 
 
-def serialize_order(order: TermOrder) -> str:
-    return "\n".join([f"n={order.n}", *map(format_subset, order.chain)]) + "\n"
+def serialize_order(order) -> str:
+    """Order-file text of a total or partial order: one level per line, its
+    subsets joined by ``=``; without ties, the chain."""
+    if order.is_total():
+        lines = map(format_subset, order.chain)
+    else:
+        lines = ("=".join(map(format_subset, group)) for group in order.levels)
+    return "\n".join([f"n={order.n}", *lines]) + "\n"

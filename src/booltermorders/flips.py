@@ -161,13 +161,3 @@ def flip_graph(n: int, mode: str = "canonical") -> FlipGraph:
                 adjacency[j].add(i)
     return FlipGraph(n=n, mode=mode, vertices=vertices, adjacency=adjacency)
 
-
-def flippable_count_histogram(n: int) -> dict[int, int]:
-    """Histogram of flippable-pair counts over the classes of orders on [n]."""
-    from .enumeration import enumerate_orders
-
-    hist: dict[int, int] = {}
-    for order in enumerate_orders(n, mode="canonical"):
-        k = len(flippable_pairs(order))
-        hist[k] = hist.get(k, 0) + 1
-    return dict(sorted(hist.items()))

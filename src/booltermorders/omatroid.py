@@ -19,9 +19,9 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Mapping
 
-from .core import TermOrder, require_valid, union_violation
+from .core import is_valid
 
 SignVector = tuple[int, ...]
 
@@ -37,39 +37,11 @@ def negate(x: SignVector) -> SignVector:
     return tuple(-v for v in x)
 
 
-def positive_part(x: SignVector) -> int:
-    """Mask of coordinates with sign +."""
-    mask = 0
-    for i, v in enumerate(x):
-        if v > 0:
-            mask |= 1 << i
-    return mask
-
-
 def from_parts(pos: int, neg: int, n: int) -> SignVector:
     assert not pos & neg
     return tuple(
         1 if pos >> i & 1 else (-1 if neg >> i & 1 else 0) for i in range(n)
     )
-
-
-def _sgn(v: int) -> int:
-    return (v > 0) - (v < 0)
-
-
-def cocircuit(x: SignVector) -> SignVector:
-    """Signs of the root pairings, in root order (e_i, sums, differences)."""
-    if not any(x):
-        raise ValueError("zero sign vector has no cocircuit")
-    n = len(x)
-    out = list(x)
-    for i in range(n):
-        for j in range(i + 1, n):
-            out.append(_sgn(x[i] + x[j]))
-    for i in range(n):
-        for j in range(i + 1, n):
-            out.append(_sgn(x[i] - x[j]))
-    return tuple(out)
 
 
 class Signature:
@@ -90,38 +62,22 @@ class Signature:
                 raise ValueError(f"signature not antisymmetric at {x}")
         self.values = full
 
-    @classmethod
-    def from_positives(cls, n: int, positives: Iterable[SignVector]) -> "Signature":
-        """+ on the given vectors, - on their negatives, 0 elsewhere."""
-        values = {x: 0 for x in sign_vectors(n)}
-        for x in positives:
-            values[tuple(x)] = 1
-            values[negate(tuple(x))] = -1
-        return cls(n, values)
-
     def __call__(self, x: SignVector) -> int:
         return self.values[tuple(x)]
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Signature) and self.values == other.values
 
-    def nonnegative(self) -> list[SignVector]:
-        return [x for x, v in self.values.items() if v >= 0]
-
 
 def mu_from_order(order) -> Signature:
     """The signature comparing negative against positive supports.
 
-    Accepts a total order or a partial order with a ``level`` array; the
-    value at x is + when the negative support precedes the positive one.
-    The values are antisymmetric by construction, so the signature is
-    built without the checks of :class:`Signature`.
+    Reads the ``level`` array of a total or partial order, which is not
+    validated here; the value at x is + when the negative support lies
+    below the positive one.  The values are antisymmetric by construction,
+    so the signature is built without the checks of :class:`Signature`.
     """
-    if isinstance(order, TermOrder):
-        require_valid(order)
-        level = order.rank
-    else:
-        level = order.level
+    level = order.level
     n = order.n
     # (x, positive part, negative part), the first coordinate varying slowest
     parts = [((), 0, 0)]
@@ -277,6 +233,6 @@ def partial_order_from_signature(mu: Signature):
     for a, b in zip(chain, chain[1:]):
         level[b] = level[a] + (compare(a, b) != 0)
     order = PartialTermOrder(n, tuple(level))
-    if union_violation(order.level, n) is not None or mu_from_order(order).values != values:
+    if not is_valid(order) or mu_from_order(order).values != values:
         raise ValueError("signature comparisons are not those of an ordered partition")
     return order

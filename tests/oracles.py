@@ -27,18 +27,20 @@ from booltermorders.core import (
     ParseError,
     TermOrder,
     ValidationReport,
+    format_subset,
     full_mask,
     parse_subset,
     reduced_pair,
     relabel,
 )
+from booltermorders.enumeration import enumerate_orders
+from booltermorders.flips import flippable_pairs
 from booltermorders.omatroid import (
     LocalizationReport,
     Signature,
-    cocircuit,
+    SignVector,
     from_parts,
     negate,
-    positive_part,
     sign_vectors,
 )
 
@@ -157,7 +159,13 @@ def relabel_image_table(order: TermOrder, perm: Sequence[int]) -> TermOrder:
     return TermOrder(order.n, tuple(rank))
 
 
-def read_levels_scan(text: str) -> tuple[int, list[list[int]]]:
+def is_canonical(order: TermOrder) -> bool:
+    """Whether the singletons are ranked in element order, as in a canonical form."""
+    rank = order.rank
+    return all(rank[1 << i] < rank[1 << (i + 1)] for i in range(order.n - 1))
+
+
+def read_levels_scan(text: str) -> tuple[int, tuple[int, ...]]:
     """Reference for ``core.read_levels``: every subset through ``parse_subset``."""
     lines: list[tuple[int, str]] = []
     for no, raw in enumerate(text.splitlines(), start=1):
@@ -186,20 +194,33 @@ def read_levels_scan(text: str) -> tuple[int, list[list[int]]]:
                         raise ParseError(f"bad subset element {part!r}", no) from None
     if not 0 <= n <= MAX_GROUND:
         raise ParseError(f"n={n} out of range 0..{MAX_GROUND}", header_no)
-    levels = []
+    level = [0] * (1 << n)
     seen = set()
-    for no, body in lines:
-        group = []
+    for lvl, (no, body) in enumerate(lines):
         for part in body.split("="):
             mask = parse_subset(part, n, line=no)
             if mask in seen:
                 raise ParseError(f"duplicate subset {part.strip()!r}", no)
             seen.add(mask)
-            group.append(mask)
-        levels.append(group)
+            level[mask] = lvl
     if len(seen) != 1 << n:
         raise ParseError(f"expected {1 << n} subsets, got {len(seen)}")
-    return n, levels
+    return n, tuple(level)
+
+
+def serialize_order_chain(order: TermOrder) -> str:
+    """Reference for ``core.serialize_order`` on a total order: one subset
+    per line along the chain."""
+    return "\n".join([f"n={order.n}", *map(format_subset, order.chain)]) + "\n"
+
+
+def serialize_partial_levels(order: PartialTermOrder) -> str:
+    """Reference for ``core.serialize_order`` on a partial order: order-file
+    text; subsets on a shared level are joined with '='."""
+    lines = [f"n={order.n}"]
+    for group in order.levels:
+        lines.append("=".join(format_subset(mask) for mask in group))
+    return "\n".join(lines) + "\n"
 
 
 def brute_force_orders(n: int) -> list[TermOrder]:
@@ -214,6 +235,15 @@ def brute_force_orders(n: int) -> list[TermOrder]:
         if is_valid_all_gammas(order):
             found.append(order)
     return found
+
+
+def flippable_count_histogram(n: int) -> dict[int, int]:
+    """Histogram of flippable-pair counts over the classes of orders on [n]."""
+    hist: dict[int, int] = {}
+    for order in enumerate_orders(n, mode="canonical"):
+        k = len(flippable_pairs(order))
+        hist[k] = hist.get(k, 0) + 1
+    return dict(sorted(hist.items()))
 
 
 def extension_chains_dict(chain: tuple[int, ...], n: int) -> Iterator[tuple[int, ...]]:
@@ -450,11 +480,53 @@ def char_poly_mobius(n: int) -> CharPoly:
     return CharPoly(tuple(coeffs))
 
 
+def positive_part(x: SignVector) -> int:
+    """Mask of coordinates with sign +."""
+    mask = 0
+    for i, v in enumerate(x):
+        if v > 0:
+            mask |= 1 << i
+    return mask
+
+
+def _sgn(v: int) -> int:
+    return (v > 0) - (v < 0)
+
+
+def cocircuit(x: SignVector) -> SignVector:
+    """Signs of the root pairings, in root order (e_i, sums, differences)."""
+    if not any(x):
+        raise ValueError("zero sign vector has no cocircuit")
+    n = len(x)
+    out = list(x)
+    for i in range(n):
+        for j in range(i + 1, n):
+            out.append(_sgn(x[i] + x[j]))
+    for i in range(n):
+        for j in range(i + 1, n):
+            out.append(_sgn(x[i] - x[j]))
+    return tuple(out)
+
+
+def signature_from_positives(n: int, positives) -> Signature:
+    """+ on the given vectors, - on their negatives, 0 elsewhere."""
+    values = {x: 0 for x in sign_vectors(n)}
+    for x in positives:
+        values[tuple(x)] = 1
+        values[negate(tuple(x))] = -1
+    return Signature(n, values)
+
+
+def nonnegative(sigma: Signature) -> list[SignVector]:
+    """The sign vectors where sigma is + or 0."""
+    return [x for x, v in sigma.values.items() if v >= 0]
+
+
 def mu_from_order_checked(order) -> Signature:
     """Reference for ``omatroid.mu_from_order``: each sign vector's parts
     taken one by one, and the signature built through the checks of
     ``Signature``."""
-    level = order.rank if isinstance(order, TermOrder) else order.level
+    level = order.level
     values = {}
     for x in sign_vectors(order.n):
         pos = positive_part(x)
@@ -527,7 +599,7 @@ def check_localization_tuples(sigma: Signature) -> LocalizationReport:
     ones.
     """
     n = sigma.n
-    allowed = sigma.nonnegative()
+    allowed = nonnegative(sigma)
     coc = {x: cocircuit(x) for x in sign_vectors(n)}
     pos = {x: positive_part(coc[x]) for x in coc}
     neg = {x: positive_part(tuple(-v for v in coc[x])) for x in coc}

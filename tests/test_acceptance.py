@@ -29,19 +29,22 @@ from booltermorders.enumeration import enumerate_orders
 from booltermorders.flips import (
     flip,
     flip_graph,
-    flippable_count_histogram,
     flippable_pairs,
     primitive_pairs,
 )
 from booltermorders.omatroid import (
-    Signature,
     check_localization,
     check_mu_conditions,
     mu_from_order,
 )
 from booltermorders.baues import coherent_above_only_trivial
 from conftest import extended
-from oracles import brute_force_orders, char_poly_mobius
+from oracles import (
+    brute_force_orders,
+    char_poly_mobius,
+    flippable_count_histogram,
+    signature_from_positives,
+)
 
 
 def _pair(l, r):
@@ -191,7 +194,7 @@ def test_criterion_07_mu_conditions_n5(canonical_orders):
 
 
 def test_criterion_08_nonorder_extension():
-    sig = Signature.from_positives(3, nonorder_localization_three())
+    sig = signature_from_positives(3, nonorder_localization_three())
     assert check_localization(sig)
     report = check_mu_conditions(sig)
     assert not report and report.failed_condition == 2

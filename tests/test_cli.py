@@ -280,13 +280,14 @@ def test_certify_rejects_invalid_order(capsys, tmp_path):
 
 def test_invalid_order_reason_is_the_same_everywhere(capsys, tmp_path):
     path = tmp_path / "bad.bto"
-    path.write_text("n=2\n-\n1\n1,2\n2\n")
-    for command in ("coherence", "flips", "validate"):
-        assert run(capsys, command, str(path)) == (
-            1,
-            "invalid: comparison of - and 1 changes under 2\n",
-            "",
-        ), command
+    for text, reason in [
+        ("n=2\n-\n1\n1,2\n2\n", "comparison of - and 1 changes under 2"),  # union axiom
+        ("n=2\n1\n-\n2\n1,2\n", "the empty set must lie at the bottom level"),  # structure
+    ]:
+        path.write_text(text)
+        for command in (["coherence"], ["flips"], ["validate"], ["localize"],
+                        ["baues", "--coherent-above"]):
+            assert run(capsys, *command, str(path)) == (1, f"invalid: {reason}\n", ""), command
 
 
 def test_validate_reads_partial_orders(capsys, tmp_path):

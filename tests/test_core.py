@@ -18,7 +18,6 @@ from booltermorders.core import (
     elements,
     format_subset,
     full_mask,
-    is_canonical,
     is_valid,
     mask_of,
     parse_order,
@@ -32,6 +31,7 @@ from booltermorders.enumeration import enumerate_orders
 from oracles import (
     canonicalize_brute_force,
     first_violation_list_scan,
+    is_canonical,
     is_union_violation,
     is_valid_all_gammas,
 )
