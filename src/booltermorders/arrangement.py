@@ -1,12 +1,14 @@
 """The arrangement of all {0,+1,-1}-normal hyperplanes and its invariants.
 
-The characteristic polynomial is computed by counting, over several prime
-fields, the vectors all of whose 2^n subset sums are distinct, then
-interpolating; an extra prime cross-validates the result.  The test suite
+The characteristic polynomial is computed by counting, over prime fields
+F_q with q above every {0,+-1} minor, the vectors all of whose 2^n subset
+sums are distinct, then interpolating in integers (Newton's divided
+differences); an extra prime cross-validates the result.  The test suite
 compares n <= 3 with an independent intersection-lattice Moebius
-computation (``tests/oracles.py``).  The absolute value at -1 is the
-region count (Zaslavsky), which for this arrangement is 2^n * n! times the
-number of coherent order classes.
+computation, and keeps the Fraction Lagrange interpolation and the
+rotating count as oracles (``tests/oracles.py``).  The absolute value at
+-1 is the region count (Zaslavsky), which for this arrangement is
+2^n * n! times the number of coherent order classes.
 
 Points are counted up to the symmetries of the arrangement, B_n (permuting
 and negating coordinates) and scaling by F_q^*: the count at an odd prime q
@@ -20,12 +22,16 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 from math import factorial, gcd, isqrt
 
-# the largest n for char_poly: n = 7 needs nine primes above 7^(7/2) > 900,
+# the largest n for char_poly: n = 7 would need nine primes above M_7 = 576,
 # far beyond what the point-count search can count
 MAX_CHARPOLY = 6
+
+# M_n, the largest |det| of a k x k {0,+-1} matrix with k <= n, for n = 0..6;
+# the determinant is affine in each entry, so a +-1 matrix reaches it (checked
+# by brute force in the test suite)
+_MAX_MINOR = (1, 1, 2, 4, 16, 48, 160)
 
 
 def normals(n: int) -> list[tuple[int, ...]]:
@@ -135,12 +141,11 @@ def _is_prime(q: int) -> bool:
 
 def _primes_for(n: int, count: int) -> list[int]:
     # q must divide no nonzero minor of the {0,+-1} normal matrix, so that the
-    # intersection lattice mod q is the one over Q and the count is chi(q).
-    # A k x k minor is at most k^(k/2) <= n^(n/2) in absolute value (Hadamard).
-    # Below 2^n no point has 2^n distinct sums; 2^n is the larger start for
-    # n <= 4.
+    # intersection lattice mod q is the one over Q and the count is chi(q);
+    # q > M_n is enough.  Below 2^n no point has 2^n distinct sums; 2^n is the
+    # larger start for n <= 4.
     primes = []
-    q = max(1 << n, isqrt(n**n)) + 1
+    q = max(1 << n, _MAX_MINOR[n]) + 1
     while len(primes) < count:
         if _is_prime(q):
             primes.append(q)
@@ -172,8 +177,9 @@ def _rooted_sets(n: int, q: int) -> int:
     ``sums & rot(sums, x) == 0``, that is iff x is no difference of two
     subset sums.  The search keeps those differences, {sum e_t t : e in
     {0,+-1}^T}, as a q-bit integer D instead: the next elements are the
-    zero bits of D above the last element, adding x makes D into
-    D | rot(D, x) | rot(D, -x), and the last element is a popcount.
+    zero bits of D above the last element, and adding x makes D into
+    D | rot(D, x) | rot(D, -x).  The last element y in (x, h] is a popcount
+    with no rotation, as y - x and y + x both lie in [1, q - 1].
     """
     if n == 1:
         return 1
@@ -189,6 +195,9 @@ def _rooted_sets(n: int, q: int) -> int:
             bit = free & -free
             free ^= bit
             x = bit.bit_length() - 1
+            if left == 2:
+                total += (free & ~(diffs << x | diffs >> x)).bit_count()
+                continue
             up = (diffs << x | diffs >> q - x) & full
             down = (diffs >> x | diffs << q - x) & full
             total += search(diffs | up | down, x + 1, left - 1)
@@ -197,27 +206,24 @@ def _rooted_sets(n: int, q: int) -> int:
     return search(1 | 2 | 1 << q - 1, 2, n - 1)
 
 
-def _interpolate(points: list[tuple[int, int]]) -> list[Fraction]:
-    """Lagrange interpolation; coefficients descending degree."""
-    k = len(points)
-    coeffs = [Fraction(0)] * k
-    for xi, yi in points:
-        # basis polynomial for xi, ascending-degree product of (x - xj)
-        basis = [Fraction(1)]
-        denom = Fraction(1)
-        for xj, _ in points:
-            if xj == xi:
-                continue
-            new = [Fraction(0)] * (len(basis) + 1)
-            for d, b in enumerate(basis):
-                new[d] += b * (-xj)
-                new[d + 1] += b
-            basis = new
-            denom *= xi - xj
-        scale = Fraction(yi) / denom
-        for d, b in enumerate(basis):
-            coeffs[d] += scale * b
-    return list(reversed(coeffs))  # descending
+def _interpolate(xs: list[int], ys: list[int]) -> list[int] | None:
+    """Integer coefficients, descending degree, of the polynomial through (xs, ys).
+
+    Newton's divided differences of an integer polynomial at integer nodes
+    are integers, so each step is an exact division; None when one is not.
+    The Newton form is expanded by Horner's rule.
+    """
+    diffs = list(ys)
+    for j in range(1, len(xs)):
+        for i in range(len(xs) - 1, j - 1, -1):
+            diffs[i], rest = divmod(diffs[i] - diffs[i - 1], xs[i] - xs[i - j])
+            if rest:
+                return None
+    coeffs = [diffs[-1]]
+    for x, d in zip(xs[-2::-1], diffs[-2::-1]):
+        coeffs = [a - x * b for a, b in zip(coeffs + [0], [0] + coeffs)]
+        coeffs[-1] += d
+    return coeffs
 
 
 def char_poly(n: int) -> CharPoly:
@@ -231,10 +237,10 @@ def char_poly(n: int) -> CharPoly:
         raise ValueError(f"n must be in 1..{MAX_CHARPOLY}, got {n}")
     primes = _primes_for(n, n + 2)
     counts = [point_count(n, q) for q in primes]
-    coeffs = _interpolate(list(zip(primes[: n + 1], counts[: n + 1])))
-    if any(c.denominator != 1 for c in coeffs):
+    coeffs = _interpolate(primes[: n + 1], counts[: n + 1])
+    if coeffs is None:
         raise CrossValidationError(primes, "interpolation gave non-integer coefficients")
-    poly = CharPoly(tuple(int(c) for c in coeffs))
+    poly = CharPoly(tuple(coeffs))
     if poly.coefficients[0] != 1:
         raise CrossValidationError(primes, "interpolated polynomial is not monic")
     if poly(primes[-1]) != counts[-1]:

@@ -386,6 +386,64 @@ def slab_point_count(n: int, q: int) -> int:
     return total * (q - 1)
 
 
+def rooted_sets_rotating(n: int, q: int) -> int:
+    """Reference for ``arrangement._rooted_sets``: the same search, but the
+    last element is taken by one more rotating step per candidate.
+
+    A set is valid when its subset sums are pairwise distinct mod q.  With
+    the sums as a q-bit integer, adding x keeps the set valid iff
+    ``sums & rot(sums, x) == 0``, that is iff x is no difference of two
+    subset sums.  The search keeps those differences, {sum e_t t : e in
+    {0,+-1}^T}, as a q-bit integer D instead: the next elements are the
+    zero bits of D above the last element, adding x makes D into
+    D | rot(D, x) | rot(D, -x), and the last element is a popcount.
+    """
+    if n == 1:
+        return 1
+    full = (1 << q) - 1
+    window = (1 << (q + 1) // 2) - 1  # bits 0..h
+
+    def search(diffs: int, low: int, left: int) -> int:
+        free = window & ~(diffs | (1 << low) - 1)
+        if left == 1:
+            return free.bit_count()
+        total = 0
+        while free:
+            bit = free & -free
+            free ^= bit
+            x = bit.bit_length() - 1
+            up = (diffs << x | diffs >> q - x) & full
+            down = (diffs >> x | diffs << q - x) & full
+            total += search(diffs | up | down, x + 1, left - 1)
+        return total
+
+    return search(1 | 2 | 1 << q - 1, 2, n - 1)
+
+
+def lagrange_interpolate(points: list[tuple[int, int]]) -> list[Fraction]:
+    """Reference for ``arrangement._interpolate``: Lagrange interpolation
+    over the rationals; coefficients descending degree."""
+    k = len(points)
+    coeffs = [Fraction(0)] * k
+    for xi, yi in points:
+        # basis polynomial for xi, ascending-degree product of (x - xj)
+        basis = [Fraction(1)]
+        denom = Fraction(1)
+        for xj, _ in points:
+            if xj == xi:
+                continue
+            new = [Fraction(0)] * (len(basis) + 1)
+            for d, b in enumerate(basis):
+                new[d] += b * (-xj)
+                new[d + 1] += b
+            basis = new
+            denom *= xi - xj
+        scale = Fraction(yi) / denom
+        for d, b in enumerate(basis):
+            coeffs[d] += scale * b
+    return list(reversed(coeffs))  # descending
+
+
 def _rref(rows: list[list[Fraction]]) -> tuple[tuple[Fraction, ...], ...]:
     mat = [list(r) for r in rows]
     out = []
