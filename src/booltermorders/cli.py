@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import math
+import os
 import sys
 from pathlib import Path
 
@@ -367,7 +368,14 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a reader that left early shows here, not at interpreter exit
+        return code
+    except BrokenPipeError:
+        # nothing more can reach the reader; devnull takes the flush at exit
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print("error: output closed before the end", file=sys.stderr)
+        return 2
     except OrderError as exc:  # before ValueError, its base class
         print(f"invalid: {exc}")
         return 1

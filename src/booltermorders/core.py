@@ -17,6 +17,7 @@ tables built on first use; for 9 <= n <= 16 it compares rank lists.
 from __future__ import annotations
 
 import functools
+import operator
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Sequence
 
@@ -394,15 +395,22 @@ def relabel(order: TermOrder, perm: Sequence[int]) -> TermOrder:
     n = order.n
     if sorted(perm) != list(range(n)):
         raise ValueError(f"perm must be a permutation of 0..{n - 1}, got {list(perm)}")
-    old_pos = [0] * n
+    gather = (_gather if n <= 8 else _gather.__wrapped__)(tuple(perm))
+    return TermOrder(n, gather(order.rank))
+
+
+@functools.lru_cache(maxsize=1024)
+def _gather(perm: tuple[int, ...]):
+    """The relabeling by ``perm`` as one gather of the rank array; cached for
+    n <= 8 (all 720 n = 6 permutations fit, about 2.5 MB at n = 8)."""
+    old_pos = [0] * len(perm)
     for i, j in enumerate(perm):
         old_pos[j] = i
     # source[mask] is the old mask that becomes mask, built one new bit at a time
     source = [0]
-    for j in range(n):
-        bit = 1 << old_pos[j]
-        source += [m | bit for m in source]
-    return TermOrder(n, tuple(map(order.rank.__getitem__, source)))
+    for i in old_pos:
+        source += [m | 1 << i for m in source]
+    return operator.itemgetter(*source) if perm else tuple  # one index gives a scalar
 
 
 def canonicalize(order: TermOrder) -> TermOrder:
@@ -427,11 +435,13 @@ def canonicalize(order: TermOrder) -> TermOrder:
 # order files
 
 
+@functools.lru_cache(maxsize=None)
 def _subset_names(n: int) -> dict[str, int]:
     """The file spelling of every subset of [n], mapped to its mask.
 
     Built by doubling: the name of m ∪ {k} is the name of m followed by
-    ``,k``, so no subset is formatted on its own.
+    ``,k``, so no subset is formatted on its own.  Cached for n <= 8, one
+    table per n that callers share and only read.
     """
     spelled = ["-"]
     for k in range(1, n + 1):
@@ -477,7 +487,7 @@ def read_levels(text: str) -> tuple[int, tuple[int, ...]]:
                         raise ParseError(f"bad subset element {part!r}", no) from None
     if not 0 <= n <= MAX_GROUND:
         raise ParseError(f"n={n} out of range 0..{MAX_GROUND}", header_no)
-    names = _subset_names(n)
+    names = (_subset_names if n <= 8 else _subset_names.__wrapped__)(n)
     level = [0] * (1 << n)
     seen = set()
     for lvl, (no, body) in enumerate(lines):

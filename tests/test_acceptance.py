@@ -276,8 +276,10 @@ def test_criterion_12_flip_connectivity():
 
 @extended
 def test_criterion_12_extended_n6():
-    assert flip_graph(6, mode="canonical").is_connected()
-    print("ACCEPTANCE 12 (extended): PASS — class flip graph connected at n=6")
+    graph = flip_graph(6, mode="canonical")
+    assert graph.is_connected()
+    assert sum(map(len, graph.adjacency)) // 2 == 663602
+    print("ACCEPTANCE 12 (extended): PASS — class flip graph connected at n=6, 663602 edges")
 
 
 def test_criterion_13_property_suites():

@@ -1,5 +1,10 @@
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import booltermorders
 from booltermorders.catalog import noncoherent_five, rigid_noncoherent_six
 from booltermorders.cli import main
 from booltermorders.core import parse_order, serialize_order
@@ -32,6 +37,21 @@ def test_enumerate_out_dir(capsys, tmp_path):
     assert len(files) == 2
     for f in files:
         parse_order(f.read_text())
+
+
+def test_closed_stdout_exits_2_without_traceback():
+    # the reader takes one line and leaves; the writer gets a broken pipe
+    with subprocess.Popen(
+        [sys.executable, "-m", "booltermorders.cli", "enumerate", "--n", "5", "--all-labelings"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        cwd=Path(booltermorders.__file__).parents[1],
+    ) as proc:
+        assert proc.stdout.readline() == "n=5\n"
+        proc.stdout.close()
+        assert proc.wait(timeout=60) == 2  # stderr holds at most one line, so no pipe fills
+        err = proc.stderr.read()
+    assert "Traceback" not in err
+    assert err.count("error: ") <= 1 and err.count("\n") <= 1
 
 
 def test_charpoly_pinned(capsys):

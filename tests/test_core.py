@@ -12,6 +12,7 @@ from booltermorders.core import (
     OrderError,
     ParseError,
     TermOrder,
+    _gather,
     _subset_names,
     canonicalize,
     complement,
@@ -21,6 +22,7 @@ from booltermorders.core import (
     is_valid,
     mask_of,
     parse_order,
+    read_levels,
     reduced_pair,
     relabel,
     serialize_order,
@@ -34,6 +36,8 @@ from oracles import (
     is_canonical,
     is_union_violation,
     is_valid_all_gammas,
+    read_levels_scan,
+    relabel_image_table,
 )
 
 
@@ -129,22 +133,68 @@ def test_lex_orders_at_the_byte_boundary(n):
 
 
 def test_import_builds_no_byte_tables():
+    """Importing fills none of the per-n caches: scan tables, gathers, name tables."""
     src = Path(booltermorders.__file__).parents[1]
     code = (
         "import booltermorders\n"
         "from booltermorders import core\n"
-        "print(core._byte_tables.cache_info().currsize)\n"
+        "for cache in (core._byte_tables, core._gather, core._subset_names):\n"
+        "    print(cache.cache_info().currsize)\n"
     )
     out = subprocess.run(
         [sys.executable, "-c", code],
         capture_output=True, text=True, check=True, cwd=src,
     )
-    assert out.stdout.strip() == "0"
+    assert out.stdout.split() == ["0", "0", "0"]
 
 
 def test_subset_names_match_format_subset():
     for n in range(11):
         assert _subset_names(n) == {format_subset(m): m for m in range(1 << n)}
+
+
+def test_n9_relabel_and_read_add_no_cache_entry():
+    # above n = 8 the gather and the name table are built per call, as before
+    order = lex_order(9)
+    before = (_gather.cache_info(), _subset_names.cache_info())
+    moved = relabel(order, [8, 0, 1, 2, 3, 4, 5, 6, 7])
+    assert parse_order(serialize_order(moved)) == moved
+    assert moved.rank[1 << 8] == order.rank[1]
+    assert (_gather.cache_info(), _subset_names.cache_info()) == before
+
+
+def test_relabel_gathers_through_one_cached_table():
+    order = TermOrder.from_chain(3, [0, 1, 2, 3, 4, 6, 5, 7])  # invalid, relabeled all the same
+    expected = relabel_image_table(order, [2, 0, 1])
+    assert relabel(order, [2, 0, 1]) == expected
+    hits = _gather.cache_info().hits
+    assert relabel(order, (2, 0, 1)) == expected  # a list and a tuple share one entry
+    assert relabel(lex_order(3), (2, 0, 1)) == relabel_image_table(lex_order(3), (2, 0, 1))
+    assert _gather.cache_info().hits == hits + 2
+
+
+def test_shared_name_table_survives_other_spellings_and_errors():
+    names = _subset_names(6)
+    lines = serialize_order(lex_order(6)).splitlines()
+    for old, spelling, message in [
+        ("1", "01", None),
+        ("1,2", " 1 , 2 ", None),
+        ("1,2", "1,02", None),
+        ("1,2", "1", "line 5: duplicate subset '1'"),
+        ("1,2", "1,7", "line 5: element 7 out of range 1..6"),
+        ("1,2", "2,1", "line 5: elements must be strictly increasing in '2,1'"),
+    ]:
+        at = lines.index(old)
+        text = "\n".join(lines[:at] + [spelling] + lines[at + 1 :])
+        if message is None:
+            assert read_levels(text) == read_levels_scan(text) == (6, lex_order(6).rank)
+            continue
+        for read in (read_levels, read_levels_scan):
+            with pytest.raises(ParseError) as info:
+                read(text)
+            assert str(info.value) == message
+    assert _subset_names(6) is names
+    assert names == {format_subset(m): m for m in range(1 << 6)}
 
 
 def test_n16_file_round_trips():

@@ -19,6 +19,7 @@ from booltermorders.flips import (
     primitive_pairs,
     unit_order,
 )
+from oracles import relabel_image_table
 
 
 def pair(l, r):
@@ -181,3 +182,24 @@ def test_flip_graph_labeled_consistent():
     g = flip_graph(3, mode="labeled")
     assert len(g.vertices) == 12
     assert g.is_connected()
+
+
+@pytest.mark.parametrize("n, edges", [(1, 0), (2, 0), (3, 1), (4, 21), (5, 1457)])
+def test_flip_graph_matches_image_table_relabeling(n, edges):
+    """The class flip graph, rebuilt with canonical forms taken through the
+    image-table relabeling, has the same vertices and adjacency."""
+    g = flip_graph(n, mode="canonical")
+    assert g.vertices == list(enumerate_orders(n, mode="canonical"))
+    index = {o.rank: i for i, o in enumerate(g.vertices)}
+    adjacency = [set() for _ in g.vertices]
+    for i, order in enumerate(g.vertices):
+        for pair in flippable_pairs(order):
+            if pair.left:
+                moved = flip(order, pair)
+                singles = sorted(range(n), key=lambda e: moved.rank[1 << e])
+                j = index[relabel_image_table(moved, [singles.index(e) for e in range(n)]).rank]
+                if j != i:
+                    adjacency[i].add(j)
+                    adjacency[j].add(i)
+    assert g.adjacency == adjacency
+    assert sum(map(len, adjacency)) // 2 == edges

@@ -339,7 +339,12 @@ def relabelings(draw):
 
 
 @given(relabelings())
-@example((TermOrder(0, (0,)), []))
+@example((TermOrder(0, (0,)), []))  # one index: the gather must still give a tuple
+@example((TermOrder(1, (0, 1)), [0]))
+@example((TermOrder(1, (0, 1)), (0,)))
+@example((TermOrder.from_chain(3, [0, 1, 2, 3, 4, 6, 5, 7]), [2, 0, 1]))  # invalid
+@example((TermOrder.from_chain(3, [0, 1, 2, 3, 4, 6, 5, 7]), (2, 0, 1)))  # same, as a tuple
+@example((TermOrder.from_chain(3, range(8)), (2, 0, 1)))  # same permutation, a cache hit
 def test_relabel_matches_image_table(case):
     order, perm = case
     assert relabel(order, perm) == relabel_image_table(order, perm)
