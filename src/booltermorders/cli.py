@@ -28,7 +28,6 @@ from .core import (
     TermOrder,
     parse_order,
     parse_subset,
-    require_valid,
     serialize_order,
 )
 from .enumeration import count_orders, enumerate_orders
@@ -71,26 +70,22 @@ def _print_certificate(cert: coherence.Certificate) -> None:
 
 
 def _parse_certificate(text: str, n: int) -> coherence.Certificate:
-    pairs = []
-    mults = []
+    pairs, mults = [], []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        if line.startswith("pair:"):
-            line = line[len("pair:"):].strip()
+        body, _, mult_text = line.removeprefix("pair:").rpartition("x")
+        left_text, lt, right_text = body.partition("<")
+        where = f"bad certificate line {lineno}"
+        if not (lt and mult_text.strip().isdecimal()):
+            raise UsageError(f"{where}: expected 'pair: LEFT < RIGHT xMULT'")
         try:
-            body, mult_text = line.rsplit("x", 1)
-            left_text, right_text = body.split("<", 1)
-            pairs.append(
-                DisjointPair(
-                    parse_subset(left_text, n, lineno),
-                    parse_subset(right_text, n, lineno),
-                )
-            )
-            mults.append(int(mult_text))
+            left = parse_subset(left_text, n, lineno)
+            pairs.append(DisjointPair(left, parse_subset(right_text, n, lineno)))
         except ValueError as exc:
-            raise UsageError(f"bad certificate line {lineno}: {exc}") from None
+            raise UsageError(f"{where}: {exc}") from None
+        mults.append(int(mult_text))
     if not pairs:
         raise UsageError("empty certificate file")
     return coherence.Certificate(pairs=tuple(pairs), multiplicities=tuple(mults))
@@ -283,7 +278,6 @@ def _cmd_baues(args) -> int:
 
 def _cmd_certify(args) -> int:
     order = _load_order(args.file)
-    require_valid(order)
     cert = _parse_certificate(_read(args.cert), order.n)
     check = coherence.verify_certificate(order, cert)
     if check:

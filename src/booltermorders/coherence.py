@@ -21,6 +21,7 @@ from . import lp
 from .core import (
     DisjointPair,
     TermOrder,
+    _vouch,
     format_subset,
     reduced_pair,
     require_valid,
@@ -85,7 +86,7 @@ def order_from_weight(w: Sequence, n: int) -> TermOrder:
     for (s1, m1), (s2, m2) in zip(sums, sums[1:]):
         if s1 == s2:
             raise TieError(m1, m2)
-    return TermOrder.from_chain(n, [mask for _, mask in sums])
+    return _vouch(TermOrder.from_chain(n, [mask for _, mask in sums]))
 
 
 def _indicator_difference(a: int, b: int, n: int) -> list[int]:
@@ -185,7 +186,8 @@ class CertificateCheck:
 
 
 def verify_certificate(order: TermOrder, cert: Certificate) -> CertificateCheck:
-    """Check both certificate invariants against the order, assumed valid."""
+    """Check both certificate invariants; an invalid order raises :class:`OrderError`."""
+    require_valid(order)
     n = order.n
     counts = [0] * n
     for pair, mult in zip(cert.pairs, cert.multiplicities):

@@ -204,9 +204,11 @@ class TermOrder(LevelArray):
     """A candidate total order on the subsets of [n]: ``rank``, its level array.
 
     The constructor only checks the shape; use :func:`validate` to test the
-    order axioms.  Instances are immutable and hashable.  Only :func:`is_valid`
-    memoizes its answer, as ``_valid`` in ``__dict__``, which equality, hash
-    and repr ignore; a flipped, relabeled or parsed order is checked afresh.
+    order axioms.  Instances are immutable and hashable.  :func:`is_valid`
+    memoizes its answer as ``_valid`` in ``__dict__``, which equality, hash
+    and repr ignore.  A relabeling copies the memo; a flip, lex product,
+    deficient extension, weight vector or n > 5 search sets it, as each
+    keeps validity.  So an order is scanned once, where it enters.
     """
 
     n: int
@@ -265,6 +267,12 @@ def is_valid(order) -> bool:
     if valid is None:
         valid = order.__dict__["_valid"] = validate(order).ok
     return valid
+
+
+def _vouch(order: TermOrder, valid: bool | None = True) -> TermOrder:
+    """Set the :func:`is_valid` memo unscanned, after an operation that keeps validity."""
+    order.__dict__["_valid"] = valid
+    return order
 
 
 def _first_violation(level, rank, chain, n) -> tuple[int, int, int] | None:
@@ -396,7 +404,7 @@ def relabel(order: TermOrder, perm: Sequence[int]) -> TermOrder:
     if sorted(perm) != list(range(n)):
         raise ValueError(f"perm must be a permutation of 0..{n - 1}, got {list(perm)}")
     gather = (_gather if n <= 8 else _gather.__wrapped__)(tuple(perm))
-    return TermOrder(n, gather(order.rank))
+    return _vouch(TermOrder(n, gather(order.rank)), order.__dict__.get("_valid"))
 
 
 @functools.lru_cache(maxsize=1024)

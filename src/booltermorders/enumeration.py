@@ -6,7 +6,7 @@ order (forced by the union axiom), and the two chains are interleaved.  A
 merge is valid iff the cross comparisons between the chains are constant on
 each class of pairs with the same disjoint reduction, which the search
 enforces incrementally on bitsets of those reductions.  For n <= 5 every
-emitted order is also checked by :func:`is_valid`.
+emitted order is also scanned by :func:`is_valid`; above, it is marked valid.
 
 Class representatives are the canonical orders (singleton ranks increasing),
 so canonical-only enumeration just constrains where the new singleton {n}
@@ -21,7 +21,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterator
 
-from .core import TermOrder, is_valid, relabel
+from .core import TermOrder, _vouch, is_valid, relabel
 
 MAX_ENUM = 7
 
@@ -108,8 +108,8 @@ def enumerate_orders(n: int, mode: str = "all") -> Iterator[TermOrder]:
     """Stream every valid order on [n] exactly once.
 
     ``mode="canonical"`` emits one representative per relabeling class (the
-    canonical one); ``mode="all"`` emits every labeling.  For n <= 5 each
-    emitted order is checked by :func:`is_valid`.
+    canonical one); ``mode="all"`` emits every labeling.  Each order carries
+    its validity; for n <= 5 it comes from a scan by :func:`is_valid`.
     """
     if not 0 <= n <= MAX_ENUM:
         raise ValueError(f"n must be in 0..{MAX_ENUM}, got {n}")
@@ -122,8 +122,9 @@ def enumerate_orders(n: int, mode: str = "all") -> Iterator[TermOrder]:
     )
     for chain in _chains(n):
         order = TermOrder.from_chain(n, chain)
-        if n <= 5 and not is_valid(order):
+        if n <= 5 and not is_valid(order):  # the self-check scans
             raise AssertionError(f"enumeration produced an invalid order: {chain}")
+        _vouch(order)  # valid by the search above n = 5
         for perm in perms:
             yield order if perm is None else relabel(order, perm)
 

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from .core import (
     DisjointPair,
     TermOrder,
+    _vouch,
     canonicalize,
     full_mask,
     require_valid,
@@ -59,12 +60,12 @@ def flip(order: TermOrder, pair: DisjointPair) -> TermOrder:
     for l in submasks(full & ~(pair.left | pair.right)):
         a, b = pair.left | l, pair.right | l
         rank[a], rank[b] = rank[b], rank[a]
-    return TermOrder(order.n, tuple(rank))
+    return _vouch(TermOrder(order.n, tuple(rank)))  # the flip lemma
 
 
 def unit_order() -> TermOrder:
     """The unique order on a one-element ground set."""
-    return TermOrder(1, (0, 1))
+    return _vouch(TermOrder(1, (0, 1)))
 
 
 def lex_product(order_a: TermOrder, order_b: TermOrder) -> TermOrder:
@@ -81,7 +82,7 @@ def lex_product(order_a: TermOrder, order_b: TermOrder) -> TermOrder:
         for a in order_a.chain
         for b in order_b.chain
     ]
-    return TermOrder.from_chain(order_a.n + k, chain)
+    return _vouch(TermOrder.from_chain(order_a.n + k, chain))
 
 
 def deficient_extension(order: TermOrder, n: int) -> TermOrder:
@@ -99,7 +100,7 @@ def deficient_extension(order: TermOrder, n: int) -> TermOrder:
     for k in range(order.n, n):
         top = 1 << k
         chain = chain + [mask | top for mask in chain]
-    return TermOrder.from_chain(n, chain)
+    return _vouch(TermOrder.from_chain(n, chain))
 
 
 @dataclass

@@ -25,6 +25,8 @@ from .core import is_valid
 
 SignVector = tuple[int, ...]
 
+MAX_SIGNATURE = 8  # the largest n for mu_from_order, which signs 3^n - 1 vectors
+
 
 def sign_vectors(n: int) -> list[SignVector]:
     """All 3^n - 1 nonzero sign vectors."""
@@ -79,6 +81,8 @@ def mu_from_order(order) -> Signature:
     """
     level = order.level
     n = order.n
+    if n > MAX_SIGNATURE:
+        raise ValueError(f"n must be at most {MAX_SIGNATURE} for a signature, got {n}")
     # (x, positive part, negative part), the first coordinate varying slowest
     parts = [((), 0, 0)]
     for i in reversed(range(n)):

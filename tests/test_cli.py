@@ -300,13 +300,15 @@ def test_certify_rejects_invalid_order(capsys, tmp_path):
 
 def test_invalid_order_reason_is_the_same_everywhere(capsys, tmp_path):
     path = tmp_path / "bad.bto"
+    cert = tmp_path / "cert.txt"
+    cert.write_text("pair: 1 < 2 x1\n")
     for text, reason in [
         ("n=2\n-\n1\n1,2\n2\n", "comparison of - and 1 changes under 2"),  # union axiom
         ("n=2\n1\n-\n2\n1,2\n", "the empty set must lie at the bottom level"),  # structure
     ]:
         path.write_text(text)
         for command in (["coherence"], ["flips"], ["validate"], ["localize"],
-                        ["baues", "--coherent-above"]):
+                        ["baues", "--coherent-above"], ["certify", "--cert", str(cert)]):
             assert run(capsys, *command, str(path)) == (1, f"invalid: {reason}\n", ""), command
 
 
@@ -325,3 +327,27 @@ def test_oversized_header_is_an_error(capsys, tmp_path):
     code, out, err = run(capsys, "baues", str(path))
     assert code == 2 and not out
     assert "out of range" in err
+
+
+@pytest.mark.parametrize("line", ["1<2", "1 2 x1", "1<2xa", "pair: 1 < 2 x", "pair: 1 < 2 x-1"])
+def test_malformed_certificate_line_names_the_form(capsys, example_file, tmp_path, line):
+    cert = tmp_path / "cert.txt"
+    cert.write_text(f"# comment\n{line}\n")
+    invalid = tmp_path / "bad.bto"
+    invalid.write_text("n=2\n-\n1\n1,2\n2\n")  # breaks the union axiom
+    # the certificate is read before the order axioms are checked
+    for path in (example_file, str(invalid)):
+        assert run(capsys, "certify", path, "--cert", str(cert)) == (
+            2, "", "error: bad certificate line 2: expected 'pair: LEFT < RIGHT xMULT'\n"
+        )
+
+
+@pytest.mark.parametrize("check", [[], ["--check"]])
+def test_localize_refuses_n_above_the_signature_bound(capsys, tmp_path, check):
+    code, text, _ = run(capsys, "realize", "--w", ",".join(str(1 << i) for i in range(9)))
+    assert code == 0
+    path = tmp_path / "lex9.bto"
+    path.write_text(text)
+    assert run(capsys, "localize", str(path), *check) == (
+        2, "", "error: n must be at most 8 for a signature, got 9\n"
+    )

@@ -27,7 +27,7 @@ from booltermorders.coherence import (
     order_from_weight,
     verify_certificate,
 )
-from booltermorders.core import DisjointPair, parse_order, relabel
+from booltermorders.core import DisjointPair, OrderError, TermOrder, parse_order, relabel, validate
 from booltermorders.enumeration import enumerate_orders
 from booltermorders import lp
 from conftest import extended
@@ -175,6 +175,18 @@ def test_bundled_certificates_verify():
     assert verify_certificate(
         coherence_isolated_six(), coherence_isolated_six_certificate()
     )
+
+
+def test_certificate_of_an_invalid_order_is_refused():
+    # swapping {1,2,3} with its chain successor breaks the union axiom, yet every
+    # certificate pair stays increasing and the pairs still cancel
+    chain = list(noncoherent_five().chain)
+    i = chain.index(0b00111)
+    chain[i], chain[i + 1] = chain[i + 1], chain[i]
+    broken = TermOrder.from_chain(5, chain)
+    assert not validate(broken)
+    with pytest.raises(OrderError):
+        verify_certificate(broken, noncoherent_five_certificate())
 
 
 def test_solver_certificate_verifies():

@@ -1,13 +1,23 @@
+import itertools
+
 import pytest
 
+from booltermorders import core
 from booltermorders.catalog import (
     coherence_isolated_six,
     five_facet_four,
     five_flippable_six,
     noncoherent_five,
 )
-from booltermorders.coherence import is_coherent
-from booltermorders.core import DisjointPair, OrderError, TermOrder, mask_of
+from booltermorders.coherence import is_coherent, order_from_weight
+from booltermorders.core import (
+    DisjointPair,
+    OrderError,
+    TermOrder,
+    canonicalize,
+    mask_of,
+    relabel,
+)
 from booltermorders.enumeration import enumerate_orders
 from booltermorders.flips import (
     FlipError,
@@ -203,3 +213,27 @@ def test_flip_graph_matches_image_table_relabeling(n, edges):
                     adjacency[j].add(i)
     assert g.adjacency == adjacency
     assert sum(map(len, adjacency)) // 2 == edges
+
+
+def test_library_built_orders_are_scanned_once(monkeypatch):
+    """A scan runs where an order enters, never on an order the library built."""
+    scans = []
+    validate = core.validate
+    monkeypatch.setattr(core, "validate", lambda order: scans.append(order) or validate(order))
+    flip_graph(5)
+    assert len(scans) == 546  # the search's self-check, once per class
+    scans.clear()
+    order = next(itertools.islice(enumerate_orders(6, mode="canonical"), 40, None))
+    moved = relabel(order, (3, 0, 5, 1, 4, 2))
+    assert canonicalize(moved) == order
+    for pair in flippable_pairs(moved):
+        if pair.left:
+            canonicalize(flip(moved, pair))
+    weighted = order_from_weight((3, 5, 6, 7), 4)
+    flippable_pairs(lex_product(weighted, unit_order()))
+    flippable_pairs(deficient_extension(weighted, 6))
+    assert scans == []
+    entered = TermOrder(order.n, order.rank)
+    flippable_pairs(entered)
+    flippable_pairs(entered)
+    assert scans == [entered]

@@ -8,9 +8,10 @@ from hypothesis import strategies as st
 
 from booltermorders.baues import PartialTermOrder
 from booltermorders.catalog import nonorder_localization_three, noncoherent_five
-from booltermorders.core import relabel
+from booltermorders.core import TermOrder, relabel
 from booltermorders.enumeration import enumerate_orders
 from booltermorders.omatroid import (
+    MAX_SIGNATURE,
     Signature,
     check_localization,
     check_mu_conditions,
@@ -163,3 +164,9 @@ def signatures_one_pair_changed(draw):
 @given(signatures_one_pair_changed())
 def test_changed_signature_rebuild_matches_pair_oracle(sigma):
     assert_rebuilds_agree(sigma)
+
+
+def test_mu_from_order_is_bounded_in_n():
+    assert mu_from_order(TermOrder.from_chain(MAX_SIGNATURE, range(1 << MAX_SIGNATURE))).n == 8
+    with pytest.raises(ValueError, match="at most 8"):
+        mu_from_order(TermOrder.from_chain(9, range(1 << 9)))

@@ -39,6 +39,7 @@ from booltermorders.coherence import (
 from booltermorders.core import (
     ParseError,
     TermOrder,
+    canonicalize,
     elements,
     format_subset,
     is_valid,
@@ -50,7 +51,13 @@ from booltermorders.core import (
     validate,
 )
 from booltermorders.enumeration import enumerate_orders
-from booltermorders.flips import flip, flippable_pairs
+from booltermorders.flips import (
+    deficient_extension,
+    flip,
+    flippable_pairs,
+    lex_product,
+    unit_order,
+)
 from booltermorders.omatroid import (
     Signature,
     check_localization,
@@ -347,7 +354,79 @@ def relabelings(draw):
 @example((TermOrder.from_chain(3, range(8)), (2, 0, 1)))  # same permutation, a cache hit
 def test_relabel_matches_image_table(case):
     order, perm = case
-    assert relabel(order, perm) == relabel_image_table(order, perm)
+    moved = relabel(order, perm)
+    assert moved == relabel_image_table(order, perm)
+    # the image takes the order's validity memo: valid, invalid or not yet known
+    assert moved.__dict__.get("_valid") is order.__dict__.get("_valid")
+    valid = is_valid(order)
+    moved = relabel(order, perm)
+    assert moved.__dict__["_valid"] is valid is is_valid_all_gammas(TermOrder(moved.n, moved.rank))
+
+
+@functools.lru_cache(maxsize=None)
+def first_classes_7():
+    return list(itertools.islice(enumerate_orders(7, mode="canonical"), 300))
+
+
+def assert_valid_afresh(order):
+    """The order carries a valid memo, and a copy without it passes the list scan."""
+    assert order.__dict__.get("_valid") is True
+    fresh = TermOrder(order.n, order.rank)
+    assert "_valid" not in fresh.__dict__
+    assert fresh.rank[0] == 0 and sorted(fresh.rank) == list(range(1 << fresh.n))
+    assert first_violation_list_scan(fresh.rank, fresh.rank, fresh.chain, fresh.n) is None
+
+
+@st.composite
+def library_built_orders(draw):
+    """Orders on n = 3..8 that the library built, each step kept: a weight
+    order, an enumerated class (n <= 7), a lex product or a deficient
+    extension, then relabelings, canonical forms and flips."""
+    n = draw(st.integers(3, 8))
+
+    def weight_order(k):
+        weights = draw(st.lists(st.integers(1, 10**6), min_size=k, max_size=k))
+        try:
+            return order_from_weight(weights, k)
+        except TieError:
+            assume(False)
+
+    kind = draw(st.sampled_from(["weight", "enumerated", "product", "extension"]))
+    if kind == "weight":
+        order = weight_order(n)
+    elif kind == "enumerated":
+        n = min(n, 7)
+        order = draw(st.sampled_from(enumerated_classes(n) if n < 7 else first_classes_7()))
+    elif kind == "product":
+        k = draw(st.integers(1, n - 1))
+        order = lex_product(weight_order(n - k), unit_order() if k == 1 else weight_order(k))
+    else:
+        order = deficient_extension(weight_order(draw(st.integers(1, n))), n)
+    built = [order]
+    for step in draw(st.lists(st.sampled_from(["relabel", "canonical", "flip"]), max_size=6)):
+        if step == "relabel":
+            order = relabel(order, draw(st.permutations(range(n))))
+        elif step == "canonical":
+            order = canonicalize(order)
+        else:
+            pairs = [pair for pair in flippable_pairs(order) if pair.left]
+            if not pairs:
+                continue
+            order = flip(order, draw(st.sampled_from(pairs)))
+        built.append(order)
+    return built
+
+
+@given(library_built_orders())
+def test_library_built_orders_are_valid_afresh(built):
+    """Each operation that marks its result valid unscanned is right to."""
+    for order in built:
+        assert_valid_afresh(order)
+
+
+def test_first_n7_classes_are_valid_afresh():
+    for order in first_classes_7():
+        assert_valid_afresh(order)
 
 
 @st.composite
