@@ -29,7 +29,7 @@ from .core import (
     structural_fault,
     validate,
 )
-from .coherence import _constraints, _lex_min_weight, subset_sum
+from .coherence import _constraints, _lex_min_weight, _weight_sums
 
 
 class PartialOrderError(ParseError, OrderError):
@@ -65,7 +65,7 @@ class PartialTermOrder(LevelArray):
     def from_weight(cls, weights: Sequence) -> "PartialTermOrder":
         """Partial order grouping subsets with equal weight sums."""
         n = len(weights)
-        sums = [subset_sum(weights, mask) for mask in range(1 << n)]
+        sums = _weight_sums(weights)
         distinct = sorted(set(sums))
         index = {s: i for i, s in enumerate(distinct)}
         return cls(n, tuple(index[s] for s in sums))

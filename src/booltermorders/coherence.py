@@ -14,7 +14,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
+from functools import lru_cache, reduce
+from itertools import repeat
+from numbers import Rational
+from operator import and_, sub, xor
 from typing import Sequence
 
 from . import lp
@@ -75,22 +78,24 @@ def subset_sum(w: Sequence, mask: int):
     return total
 
 
+def _weight_sums(w: Sequence) -> list:
+    """Every subset's weight sum, by mask; floats, whose sums round, are refused."""
+    if not all(isinstance(v, Rational) for v in w):
+        raise ValueError(f"weights must be integers or fractions, got {tuple(w)}")
+    return [subset_sum(w, mask) for mask in range(1 << len(w))]
+
+
 def order_from_weight(w: Sequence, n: int) -> TermOrder:
     """Sort subsets by weight sum; raises TieError for non-generic weights."""
     if len(w) != n:
         raise ValueError(f"expected {n} weights, got {len(w)}")
+    sums = sorted(zip(_weight_sums(w), range(1 << n)))
     if any(v <= 0 for v in w):
         raise ValueError("weights must be positive")
-    sums = [(subset_sum(w, mask), mask) for mask in range(1 << n)]
-    sums.sort()
     for (s1, m1), (s2, m2) in zip(sums, sums[1:]):
         if s1 == s2:
             raise TieError(m1, m2)
     return _vouch(TermOrder.from_chain(n, [mask for _, mask in sums]))
-
-
-def _indicator_difference(a: int, b: int, n: int) -> list[int]:
-    return [((b >> i) & 1) - ((a >> i) & 1) for i in range(n)]
 
 
 def _comparisons(order) -> list[tuple[int, int, int]]:
@@ -101,13 +106,14 @@ def _comparisons(order) -> list[tuple[int, int, int]]:
     is alone at the bottom, then both directions of each tie with its
     level's first subset, rhs 0.  Transitivity supplies the rest, so the
     solutions induce exactly the levels (the one-level order forces w = 0).
-    Under Bland's rule a repeated row never enters a basis, so dropping
-    repeats leaves every pivot, weight and certificate unchanged.
+    Under either entering rule of ``lp`` a repeated row never enters a basis,
+    so dropping repeats leaves every pivot, weight and certificate unchanged.
     """
-    levels = order.levels
-    firsts = [group[0] for group in levels]
-    comps = [(*reduced_pair(a, b), 1) for a, b in zip(firsts, firsts[1:])]
-    if len(levels[0]) == 1:
+    levels = () if order.is_total() else order.levels
+    firsts = [group[0] for group in levels] or order.chain
+    common = list(map(and_, firsts, firsts[1:]))
+    comps = list(zip(map(xor, firsts, common), map(xor, firsts[1:], common), repeat(1)))
+    if order.level.count(0) == 1:
         comps += [(0, 1 << i, 1) for i in range(order.n)]
     for group in levels:
         for other in group[1:]:
@@ -116,10 +122,17 @@ def _comparisons(order) -> list[tuple[int, int, int]]:
     return list(dict.fromkeys(comps))
 
 
+@lru_cache(maxsize=None)
+def _indicators(n: int) -> tuple[tuple[int, ...], ...]:
+    """The 0/1 indicator vector of every subset of [n], by mask; cached for n <= 8."""
+    return tuple(tuple(mask >> i & 1 for i in range(n)) for mask in range(1 << n))
+
+
 def _constraints(order, comps=None) -> tuple[list[list[int]], list[int]]:
     """The weight program A w >= b, one row per :func:`_comparisons` entry."""
     comps = _comparisons(order) if comps is None else comps
-    rows = [_indicator_difference(left, right, order.n) for left, right, _ in comps]
+    bits = (_indicators if order.n <= 8 else _indicators.__wrapped__)(order.n)
+    rows = [list(map(sub, bits[right], bits[left])) for left, right, _ in comps]
     return rows, [rhs for _, _, rhs in comps]
 
 
@@ -186,11 +199,15 @@ class CertificateCheck:
 
 
 def verify_certificate(order: TermOrder, cert: Certificate) -> CertificateCheck:
-    """Check both certificate invariants; an invalid order raises :class:`OrderError`."""
+    """Pairs must exist, lie in [n], increase and cancel; an invalid order raises OrderError."""
     require_valid(order)
     n = order.n
+    if not cert.pairs:
+        return CertificateCheck(False, "the certificate has no pairs")
     counts = [0] * n
     for pair, mult in zip(cert.pairs, cert.multiplicities):
+        if (pair.left | pair.right) >> n:
+            return CertificateCheck(False, f"pair {pair} has a side outside [{n}]")
         if order.rank[pair.left] >= order.rank[pair.right]:
             return CertificateCheck(False, f"pair {pair} is not increasing in the order")
         for i in range(n):

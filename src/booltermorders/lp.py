@@ -1,4 +1,4 @@
-"""Exact rational linear programming (two-phase simplex, Bland's rule).
+"""Exact rational linear programming (simplex over integers).
 
 The tableau holds Python integers over one common positive denominator and
 pivots by Edmonds' integer-preserving step (Bareiss), so no floating point
@@ -7,15 +7,14 @@ objectives are returned as exact Fractions.  Constraint matrices are
 integer, right-hand sides and costs may be rational.  Problems here are
 tiny (tens of rows and columns), so a dense tableau is plenty.  Programs
 ``A x >= b`` with n unknowns and a row per distinct comparison of an order
-(at most 2^n - 1 + n) are solved on the dual side, one tableau row per
-unknown, each by one call of the kernel: :func:`farkas_ge` decides
-feasibility and :func:`lex_min_ge` finds the lexicographic minimum, its
-right-hand side lexicographic.  :func:`solve_eq` is the kernel for one
-right-hand side.  No library code calls the primal encoders
-:func:`minimize_ge` and :func:`feasible_ge`.  They stay only because the
-benchmark looks them up by name (``TARGETS`` in ``perfbench/tracer.py``,
-``PROBED_CALLS`` in ``perfbench/run.py``) and the tests call them;
-deleting them waits for the benchmark refresh planned in ROADMAP.md.
+are solved on the dual side, one tableau row per unknown, by one kernel
+call each.  :func:`farkas_ge` (feasibility) and :func:`solve_eq` (one
+right-hand side) start from artificial columns (two phases) and enter by
+Bland's rule.  :func:`lex_min_ge` (the lexicographic minimum) does so too
+unless A has every unit row; then it starts from their dual columns and
+enters the most negative reduced cost.  No library code calls the primal
+encoders :func:`minimize_ge` and :func:`feasible_ge`; the benchmark looks
+them up by name and the tests call them (ROADMAP.md plans their removal).
 """
 
 from __future__ import annotations
@@ -24,10 +23,6 @@ import math
 from fractions import Fraction
 from operator import index
 from typing import Sequence
-
-
-class UnboundedError(Exception):
-    pass
 
 
 def _lcm_of_denominators(values) -> int:
@@ -59,7 +54,7 @@ def _pivot(tab, basis, d, row, col):
     return p
 
 
-def _simplex(tab, basis, d, cost, k):
+def _simplex(tab, basis, d, cost, k, dantzig=False):
     """Minimize cost over the tableau's feasible basis.
 
     ``tab`` rows are integers [a_1 ... a_w | rhs_1 ... rhs_k] over the
@@ -67,8 +62,10 @@ def _simplex(tab, basis, d, cost, k):
     right-hand side rhs_1 + eps rhs_2 + ... (every small eps > 0) is
     lexicographically nonnegative in each row.  ``cost`` is rational over the
     structural columns, scaled to integers by the lcm of its denominators (a
-    positive scale leaves every pivot as it is).  Returns (denominator, the
-    objective's k eps-coefficients); ``tab`` and ``basis`` change in place.
+    positive scale leaves every pivot as it is).  The first improving column
+    enters (Bland), or with ``dantzig`` the most negative, safe only where
+    no pivot is degenerate.  Returns (denominator, the objective's k
+    eps-coefficients or None if unbounded); ``tab`` and ``basis`` change.
     """
     m = len(tab)
     width = len(cost)
@@ -84,13 +81,11 @@ def _simplex(tab, basis, d, cost, k):
     try:
         while True:
             red = tab[m]
-            enter = -1
-            for j in range(width):
-                if red[j] < 0:
-                    enter = j
-                    break  # Bland: first improving column
-            if enter < 0:
+            costs = red[:width]
+            low = min(costs, default=0) if dantzig else next(filter((0).__gt__, costs), 0)
+            if low >= 0:
                 return d, [Fraction(-v, d * scale) for v in red[width:]]
+            enter = red.index(low)  # the first column with that reduced cost
             leave = -1
             for r in range(m):
                 a = tab[r][enter]
@@ -106,7 +101,7 @@ def _simplex(tab, basis, d, cost, k):
                     ):
                         best_rhs, best_a, leave = rhs, a, r
             if leave < 0:
-                raise UnboundedError
+                return d, None  # unbounded
             d = _pivot(tab, basis, d, leave, enter)
     finally:
         tab.pop()
@@ -142,9 +137,8 @@ def _solve_lex(A, B, c):
     keep = [r for r in range(m) if basis[r] < n]
     tab = [tab[r][:n] + tab[r][n + m :] for r in keep]
     basis = [basis[r] for r in keep]
-    try:
-        d, obj = _simplex(tab, basis, d, c, len(B))
-    except UnboundedError:
+    d, obj = _simplex(tab, basis, d, c, len(B))
+    if obj is None:
         return "unbounded", None, None
     x = [Fraction(0)] * n
     for r, j in enumerate(basis):
@@ -211,9 +205,18 @@ def lex_min_ge(A: Sequence[Sequence[int]], b: Sequence[int], n: int):
     One dual solve (Dantzig, Orden and Wolfe 1955): the optimum of max b.y
     over y.A = e_1 + eps e_2 + ... + eps^(n-1) e_n, y >= 0 has the
     eps-coefficients x_1 ... x_n.  None when A x >= b is infeasible or
-    unbounded below in some coordinate (no minimum).
+    unbounded below in some coordinate (no minimum).  With every unit row
+    in A, their first copies are a feasible dual basis (no phase 1), and no
+    pivot is degenerate: each right-hand-side row is an inverse-basis row.
     """
     columns = [[a[j] for a in A] for j in range(n)]
     units = [[int(i == j) for i in range(n)] for j in range(n)]
-    status, _, obj = _solve_lex(columns, units, [-v for v in b])
+    rows = list(map(list, A))
+    try:
+        basis = list(map(rows.index, units))
+    except ValueError:
+        obj = _solve_lex(columns, units, [-v for v in b])[2]
+    else:
+        tab = [list(map(index, column)) + unit for column, unit in zip(columns, units)]
+        obj = _simplex(tab, basis, 1, [-v for v in b], n, dantzig=True)[1]
     return None if obj is None else [-v for v in obj]

@@ -16,11 +16,7 @@ import numpy as np
 from booltermorders import lp
 from booltermorders.arrangement import CharPoly, _rank_det, normals
 from booltermorders.baues import PartialTermOrder
-from booltermorders.coherence import (
-    Certificate,
-    _indicator_difference,
-    _to_integer_weights,
-)
+from booltermorders.coherence import Certificate, _to_integer_weights
 from booltermorders.core import (
     MAX_GROUND,
     DisjointPair,
@@ -799,6 +795,31 @@ def fraction_solve_eq(A, b, c):
 
 # ---------------------------------------------------------------------------
 # the weight program with one row per consecutive comparison, repeats kept
+
+
+def _indicator_difference(a: int, b: int, n: int) -> list[int]:
+    return [((b >> i) & 1) - ((a >> i) & 1) for i in range(n)]
+
+
+def comparisons_level_array(order) -> list[tuple[int, int, int]]:
+    """Reference for ``coherence._comparisons``: the same list, read off the
+    generic ``levels`` list of lists with one ``reduced_pair`` call per pair.
+
+    In first-occurrence order: the reduced pair of each two consecutive
+    levels (first subsets) with rhs 1, then ({}, {i}, 1) when the empty set
+    is alone at the bottom, then both directions of each tie with its
+    level's first subset, rhs 0.
+    """
+    levels = order.levels
+    firsts = [group[0] for group in levels]
+    comps = [(*reduced_pair(a, b), 1) for a, b in zip(firsts, firsts[1:])]
+    if len(levels[0]) == 1:
+        comps += [(0, 1 << i, 1) for i in range(order.n)]
+    for group in levels:
+        for other in group[1:]:
+            left, right = reduced_pair(group[0], other)
+            comps += [(left, right, 0), (right, left, 0)]
+    return list(dict.fromkeys(comps))
 
 
 def difference_rows(order) -> list[list[int]]:

@@ -218,6 +218,35 @@ def test_certificate_rejects_noncancelling():
     assert not verify_certificate(noncoherent_five(), cert)
 
 
+def test_certificate_without_pairs_or_with_a_side_outside_n_fails():
+    # no pairs cancel trivially yet prove nothing; a side outside [5] has no rank
+    order = noncoherent_five()
+    check = verify_certificate(order, Certificate((), ()))
+    assert not check and check.reason == "the certificate has no pairs"
+    for pair in (DisjointPair(1, 64), DisjointPair(64, 1), DisjointPair(0, 32)):
+        check = verify_certificate(order, Certificate((pair,), (1,)))
+        assert not check and check.reason == f"pair {pair} has a side outside [5]"
+    # the range is checked before the order, pair by pair
+    late = Certificate((DisjointPair(1, 2), DisjointPair(2, 1 << 9)), (1, 1))
+    assert verify_certificate(order, late).reason == f"pair {late.pairs[1]} has a side outside [5]"
+
+
+def test_float_weights_are_refused():
+    # rounded sums put {3} below {1,2}, though 1/10 + 2/10 = 3/10 exactly
+    for weights in [(0.1, 0.2, 0.3), (1, 2.0, 4)]:
+        with pytest.raises(ValueError, match="weights must be integers or fractions"):
+            order_from_weight(weights, 3)
+        with pytest.raises(ValueError, match="weights must be integers or fractions"):
+            PartialTermOrder.from_weight(weights)
+    exact = (Fraction(1, 10), Fraction(2, 10), Fraction(3, 10))
+    with pytest.raises(TieError):
+        order_from_weight(exact, 3)
+    level = PartialTermOrder.from_weight(exact).level
+    assert level[0b100] == level[0b011]
+    halves = (Fraction(1, 2), 1, Fraction(5, 2))
+    assert order_from_weight(halves, 3) == order_from_weight((1, 2, 5), 3)
+
+
 def test_lp_exactness():
     # fractions survive the pipeline exactly
     A = [[1, 1], [1, -1], [1, 0], [0, 1]]
@@ -238,6 +267,22 @@ def test_lex_min_ge_edge_cases():
     assert lp.lex_min_ge([[1, 0], [0, 1], [1, 1]], [1, 1, 3], 2) == [1, 2]
     assert lp.lex_min_ge([[1], [-1]], [1, 0], 1) is None  # infeasible
     assert lp.lex_min_ge([[1, 1]], [1], 2) is None  # x_1 unbounded below
+
+
+def test_lex_min_ge_starts_from_the_unit_rows(monkeypatch):
+    # an order with the empty set alone at the bottom has the rows w_i >= 1, and
+    # the one-level order the ties w_i >= 0, so no weight solve reaches the
+    # artificial start; a program without some unit row does
+    calls = []
+    solve = lp._solve_lex
+    monkeypatch.setattr(lp, "_solve_lex", lambda *args: calls.append(args) or solve(*args))
+    assert find_weight(order_from_weight((7, 10, 16, 20, 22), 5)) == (7, 10, 16, 20, 22)
+    assert find_weight(noncoherent_five()) is None
+    assert find_partial_weight(PartialTermOrder.from_weight((1, 1, 2))) == (1, 1, 2)
+    assert find_partial_weight(PartialTermOrder.trivial(3)) == (0, 0, 0)
+    assert calls == []
+    assert lp.lex_min_ge([[1, 0], [1, 1]], [1, 3], 2) == [1, 2]
+    assert len(calls) == 1
 
 
 def test_farkas_dichotomy():

@@ -30,6 +30,7 @@ from booltermorders.cli import main
 from booltermorders.coherence import (
     CoherentOrderError,
     TieError,
+    _comparisons,
     _constraints,
     find_weight,
     noncoherence_certificate,
@@ -67,6 +68,7 @@ from booltermorders.omatroid import (
 )
 from oracles import (
     check_localization_tuples,
+    comparisons_level_array,
     det_leibniz,
     extreme_rays_by_null_vectors,
     first_violation_list_scan,
@@ -175,6 +177,10 @@ def ge_systems(draw):
 @example(([[1], [-1]], [1, 0], 1))  # infeasible
 @example(([[1, 0]], [0], 2))  # x_1 >= 0, but x_2 is unbounded below
 @example(([[1, 1], [1, 0], [-1, -1]], [1, 0, -3], 2))  # a minimum, (0, 1)
+@example(([[1, 0], [0, 1], [1, 1]], [1, 1, 3], 2))  # unit rows first: the unit start, (1, 2)
+@example(([[0, 1], [1, 0], [1, 1], [0, 1]], [0, 2, 3, 1], 2))  # e_2 twice, the later binds: (2, 1)
+@example(([[1, 0], [1, 1]], [1, 3], 2))  # e_2 missing: the phase-1 start, (1, 2)
+@example(([[1, 0], [0, 1], [-1, -1]], [1, 1, -1], 2))  # the unit start, infeasible
 def test_lex_min_ge_matches_pin_oracle(system):
     # one lexicographic dual solve against 1 + n solves with pinned coordinates
     A, b, n = system
@@ -576,6 +582,35 @@ def test_find_weight_induces_generic_order(weights):
 def test_find_partial_weight_induces_tied_levels(weights):
     p = PartialTermOrder.from_weight(weights)
     assert PartialTermOrder.from_weight(find_partial_weight(p)).level == p.level
+
+
+def test_comparisons_match_level_array_oracle(canonical_orders):
+    orders = [TermOrder(0, (0,))] + [o for n in range(1, 6) for o in canonical_orders[n]]
+    for order in orders + enumerated_classes(6)[:300]:
+        comps = _comparisons(order)
+        assert comps == comparisons_level_array(order)
+        assert all(type(c) is tuple and all(type(v) is int for v in c) for c in comps)
+
+
+@st.composite
+def weight_program_orders(draw):
+    """A weight order on n = 6..8, flipped a few times and relabeled, or the
+    levels of a tied weight vector on n = 1..5, kept or broken."""
+    if draw(st.booleans()):
+        return draw(tied_level_arrays(max_n=5))
+    n = draw(st.integers(6, 8))
+    try:
+        order = order_from_weight(draw(st.lists(st.integers(1, 10**6), min_size=n, max_size=n)), n)
+    except TieError:
+        assume(False)
+    for _ in range(draw(st.integers(0, 3))):
+        order = flip(order, draw(st.sampled_from([p for p in flippable_pairs(order) if p.left])))
+    return relabel(order, draw(st.permutations(range(n))))
+
+
+@given(weight_program_orders())
+def test_comparisons_match_level_array_oracle_on_drawn_orders(order):
+    assert _comparisons(order) == comparisons_level_array(order)
 
 
 def contiguous(level):
