@@ -146,10 +146,15 @@ def reduced_pair(left: int, right: int) -> tuple[int, int]:
 # term orders
 
 
-def _shape(n: int, level: Sequence[int]) -> tuple[int, ...]:
-    """The level array as a tuple, once n is in 0..MAX_GROUND and it has 2^n entries."""
+def _ground(n: int) -> None:
+    """Refuse n outside 0..MAX_GROUND, before anything of size 2^n is built."""
     if not 0 <= n <= MAX_GROUND:
         raise OrderError(f"ground-set size must be in 0..{MAX_GROUND}, got {n}")
+
+
+def _shape(n: int, level: Sequence[int]) -> tuple[int, ...]:
+    """The level array as a tuple, once n is in 0..MAX_GROUND and it has 2^n entries."""
+    _ground(n)
     level = tuple(level)
     if len(level) != 1 << n:
         raise OrderError(f"level array has length {len(level)}, expected {1 << n}")

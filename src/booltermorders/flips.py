@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from .core import (
     DisjointPair,
     TermOrder,
+    _ground,
     _vouch,
     canonicalize,
     full_mask,
@@ -77,6 +78,7 @@ def lex_product(order_a: TermOrder, order_b: TermOrder) -> TermOrder:
     require_valid(order_a)
     require_valid(order_b)
     k = order_b.n
+    _ground(order_a.n + k)
     chain = [
         (a << k) | b
         for a in order_a.chain
@@ -96,6 +98,7 @@ def deficient_extension(order: TermOrder, n: int) -> TermOrder:
     require_valid(order)
     if n < order.n:
         raise ValueError(f"cannot shrink ground set from {order.n} to {n}")
+    _ground(n)
     chain = list(order.chain)
     for k in range(order.n, n):
         top = 1 << k

@@ -8,13 +8,13 @@ integer, right-hand sides and costs may be rational.  Problems here are
 tiny (tens of rows and columns), so a dense tableau is plenty.  Programs
 ``A x >= b`` with n unknowns and a row per distinct comparison of an order
 are solved on the dual side, one tableau row per unknown, by one kernel
-call each.  :func:`farkas_ge` (feasibility) and :func:`solve_eq` (one
-right-hand side) start from artificial columns (two phases) and enter by
-Bland's rule.  :func:`lex_min_ge` (the lexicographic minimum) does so too
-unless A has every unit row; then it starts from their dual columns and
-enters the most negative reduced cost.  No library code calls the primal
-encoders :func:`minimize_ge` and :func:`feasible_ge`; the benchmark looks
-them up by name and the tests call them (ROADMAP.md plans their removal).
+call each.  :func:`lex_min_ge` (the lexicographic minimum, or None when
+infeasible) needs every unit row in A; it starts from their dual columns
+and enters the most negative reduced cost.  :func:`farkas_ge` (a
+certificate of infeasibility) calls :func:`solve_eq`, which starts from
+artificial columns (two phases) and enters by Bland's rule.  No library
+code calls the primal encoders :func:`minimize_ge` and :func:`feasible_ge`;
+the benchmark and the tests call them (ROADMAP.md plans their removal).
 """
 
 from __future__ import annotations
@@ -92,12 +92,11 @@ def _simplex(tab, basis, d, cost, k, dantzig=False):
                 if a > 0:
                     rhs = tab[r][width]
                     # ratios rhs / a compared by cross-multiplying (a > 0); on a
-                    # tie, the later columns (none for k = 1), then the basis index
+                    # tie, the later right-hand-side columns, then the basis index
                     if leave < 0 or rhs * best_a < best_rhs * a or (
                         rhs * best_a == best_rhs * a
-                        and (basis[r] < basis[leave] if k == 1 else
-                             [v * best_a for v in tab[r][width + 1 :]] + [basis[r]]
-                             < [v * a for v in tab[leave][width + 1 :]] + [basis[leave]])
+                        and [v * best_a for v in tab[r][width + 1 :]] + [basis[r]]
+                        < [v * a for v in tab[leave][width + 1 :]] + [basis[leave]]
                     ):
                         best_rhs, best_a, leave = rhs, a, r
             if leave < 0:
@@ -107,26 +106,27 @@ def _simplex(tab, basis, d, cost, k, dantzig=False):
         tab.pop()
 
 
-def _solve_lex(A, B, c):
-    """:func:`solve_eq` for A x = B_1 + eps B_2 + ... + eps^(k-1) B_k, every small eps > 0.
+def solve_eq(A: Sequence[Sequence[int]], b: Sequence[Fraction], c: Sequence[Fraction]):
+    """min c.x subject to A x = b, x >= 0, for integer A.
 
-    x is the solution at eps = 0, the objective its k eps-coefficients.
+    Returns (status, x, objective) with status one of "optimal",
+    "infeasible", "unbounded"; x and the objective are Fractions.
     """
     m = len(A)
     n = len(A[0]) if m else len(c)
     # the whole tableau, artificial identity included, is scaled by d
-    d = _lcm_of_denominators([v for col in B for v in col])
+    d = _lcm_of_denominators(b)
     tab = []
     for i in range(m):
-        row = [d * index(v) for v in A[i]] + [0] * m + [int(d * col[i]) for col in B]
-        if row[n + m :] < [0] * len(B):
+        row = [d * index(v) for v in A[i]] + [0] * m + [int(d * b[i])]
+        if row[-1] < 0:
             row = [-v for v in row]
         tab.append(row)
         tab[i][n + i] = d
     basis = [n + i for i in range(m)]
     # phase 1: drive out artificials
-    d, infeasibility = _simplex(tab, basis, d, [0] * n + [1] * m, len(B))
-    if any(infeasibility):
+    d, infeasibility = _simplex(tab, basis, d, [0] * n + [1] * m, 1)
+    if infeasibility[0]:
         return "infeasible", None, None
     for r in range(m):
         if basis[r] >= n:
@@ -137,23 +137,13 @@ def _solve_lex(A, B, c):
     keep = [r for r in range(m) if basis[r] < n]
     tab = [tab[r][:n] + tab[r][n + m :] for r in keep]
     basis = [basis[r] for r in keep]
-    d, obj = _simplex(tab, basis, d, c, len(B))
+    d, obj = _simplex(tab, basis, d, c, 1)
     if obj is None:
         return "unbounded", None, None
     x = [Fraction(0)] * n
     for r, j in enumerate(basis):
         x[j] = Fraction(tab[r][n], d)
-    return "optimal", x, obj
-
-
-def solve_eq(A: Sequence[Sequence[int]], b: Sequence[Fraction], c: Sequence[Fraction]):
-    """min c.x subject to A x = b, x >= 0, for integer A.
-
-    Returns (status, x, objective) with status one of "optimal",
-    "infeasible", "unbounded"; x and the objective are Fractions.
-    """
-    status, x, obj = _solve_lex(A, [b], c)
-    return status, x, obj and obj[0]
+    return "optimal", x, obj[0]
 
 
 def feasible_ge(A: Sequence[Sequence[int]], b: Sequence[int]):
@@ -171,7 +161,7 @@ def farkas_ge(A: Sequence[Sequence[int]], b: Sequence[int]):
     """
     n = len(A[0]) if A else 0
     columns = [[a[j] for a in A] for j in range(n)] + [list(b)]
-    status, lam, _ = _solve_lex(columns, [[0] * n + [1]], [0] * len(A))
+    status, lam, _ = solve_eq(columns, [0] * n + [1], [0] * len(A))
     return lam if status == "optimal" else None
 
 
@@ -204,10 +194,11 @@ def lex_min_ge(A: Sequence[Sequence[int]], b: Sequence[int], n: int):
 
     One dual solve (Dantzig, Orden and Wolfe 1955): the optimum of max b.y
     over y.A = e_1 + eps e_2 + ... + eps^(n-1) e_n, y >= 0 has the
-    eps-coefficients x_1 ... x_n.  None when A x >= b is infeasible or
-    unbounded below in some coordinate (no minimum).  With every unit row
-    in A, their first copies are a feasible dual basis (no phase 1), and no
-    pivot is degenerate: each right-hand-side row is an inverse-basis row.
+    eps-coefficients x_1 ... x_n.  A must hold every unit row e_i
+    (ValueError otherwise): x is then bounded below, so None means
+    infeasible; the first copies are a feasible dual basis (no phase 1),
+    and no pivot is degenerate: each right-hand-side row is an
+    inverse-basis row.
     """
     columns = [[a[j] for a in A] for j in range(n)]
     units = [[int(i == j) for i in range(n)] for j in range(n)]
@@ -215,8 +206,7 @@ def lex_min_ge(A: Sequence[Sequence[int]], b: Sequence[int], n: int):
     try:
         basis = list(map(rows.index, units))
     except ValueError:
-        obj = _solve_lex(columns, units, [-v for v in b])[2]
-    else:
-        tab = [list(map(index, column)) + unit for column, unit in zip(columns, units)]
-        obj = _simplex(tab, basis, 1, [-v for v in b], n, dantzig=True)[1]
+        raise ValueError(f"A must hold every unit row e_1 ... e_{n}") from None
+    tab = [list(map(index, column)) + unit for column, unit in zip(columns, units)]
+    obj = _simplex(tab, basis, 1, [-v for v in b], n, dantzig=True)[1]
     return None if obj is None else [-v for v in obj]

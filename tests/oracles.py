@@ -16,7 +16,7 @@ import numpy as np
 from booltermorders import lp
 from booltermorders.arrangement import CharPoly, _rank_det, normals
 from booltermorders.baues import PartialTermOrder
-from booltermorders.coherence import Certificate, _to_integer_weights
+from booltermorders.coherence import Certificate, _constraints, _to_integer_weights
 from booltermorders.core import (
     MAX_GROUND,
     DisjointPair,
@@ -888,6 +888,12 @@ def lex_min_by_pins(A, b, n: int):
         rows += [unit, [-v for v in unit]]
         rhs += [opt, -opt]
     return x
+
+
+def coherent_by_farkas(order) -> bool:
+    """Reference for ``coherence.is_coherent``: the weight program is feasible
+    iff its two-phase Farkas dual (``lp.farkas_ge``) finds no certificate."""
+    return lp.farkas_ge(*_constraints(order)) is None
 
 
 def lex_min_weight_full_rows(order):

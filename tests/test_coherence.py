@@ -33,6 +33,7 @@ from booltermorders import lp
 from conftest import extended
 from oracles import (
     certificate_full_rows,
+    coherent_by_farkas,
     difference_rows,
     has_positive_cone_point,
     lex_min_weight_full_rows,
@@ -262,27 +263,59 @@ def test_lex_min_ge_edge_cases():
     assert lp.lex_min_ge([], [], 0) == []
     assert lp.lex_min_ge([[], []], [0, -1], 0) == []
     assert lp.lex_min_ge([[], []], [0, 1], 0) is None
-    # zero rows: every coordinate is unbounded below
-    assert lp.lex_min_ge([], [], 2) is None
     assert lp.lex_min_ge([[1, 0], [0, 1], [1, 1]], [1, 1, 3], 2) == [1, 2]
     assert lp.lex_min_ge([[1], [-1]], [1, 0], 1) is None  # infeasible
-    assert lp.lex_min_ge([[1, 1]], [1], 2) is None  # x_1 unbounded below
+
+
+def test_lex_min_ge_needs_every_unit_row():
+    # without some e_i among the rows, a coordinate may be unbounded below
+    for A, b, n in [
+        ([], [], 2),  # zero rows
+        ([[1, 1]], [1], 2),
+        ([[1, 0]], [0], 2),
+        ([[1, 1], [1, 0], [-1, -1]], [1, 0, -3], 2),
+        ([[1, 0], [1, 1]], [1, 3], 2),  # e_2 missing, though a minimum (1, 2) exists
+        ([[-1, 0], [0, 1]], [0, 0], 2),  # -e_1 is not e_1
+    ]:
+        with pytest.raises(ValueError, match="unit row"):
+            lp.lex_min_ge(A, b, n)
 
 
 def test_lex_min_ge_starts_from_the_unit_rows(monkeypatch):
     # an order with the empty set alone at the bottom has the rows w_i >= 1, and
-    # the one-level order the ties w_i >= 0, so no weight solve reaches the
-    # artificial start; a program without some unit row does
+    # the one-level order the ties w_i >= 0, so no weight solve and no decision
+    # reaches the two-phase solve, which only the certificate runs
     calls = []
-    solve = lp._solve_lex
-    monkeypatch.setattr(lp, "_solve_lex", lambda *args: calls.append(args) or solve(*args))
+    solve = lp.solve_eq
+    monkeypatch.setattr(lp, "solve_eq", lambda *args: calls.append(args) or solve(*args))
     assert find_weight(order_from_weight((7, 10, 16, 20, 22), 5)) == (7, 10, 16, 20, 22)
     assert find_weight(noncoherent_five()) is None
+    assert is_coherent(order_from_weight((7, 10, 16, 20, 22), 5))
+    assert not is_coherent(noncoherent_five())
+    assert is_coherent(parse_order("n=0\n-\n"))
     assert find_partial_weight(PartialTermOrder.from_weight((1, 1, 2))) == (1, 1, 2)
     assert find_partial_weight(PartialTermOrder.trivial(3)) == (0, 0, 0)
     assert calls == []
-    assert lp.lex_min_ge([[1, 0], [1, 1]], [1, 3], 2) == [1, 2]
+    assert verify_certificate(noncoherent_five(), noncoherence_certificate(noncoherent_five()))
     assert len(calls) == 1
+
+
+def test_is_coherent_matches_the_farkas_route(canonical_orders):
+    # the weight solve decides as the two-phase Farkas dual does, on every
+    # n <= 5 class under a seeded relabeling
+    rng = random.Random(20261019)
+    for orders in canonical_orders.values():
+        for order in orders:
+            order = relabel(order, rng.sample(range(order.n), order.n))
+            assert is_coherent(order) == coherent_by_farkas(order)
+
+
+@extended
+def test_is_coherent_matches_the_farkas_route_n6_extended():
+    rng = random.Random(20261019)
+    for order in itertools.islice(enumerate_orders(6, mode="canonical"), 2000):
+        order = relabel(order, rng.sample(range(6), 6))
+        assert is_coherent(order) == coherent_by_farkas(order)
 
 
 def test_farkas_dichotomy():

@@ -174,6 +174,22 @@ def test_deficient_extension_flip_counts():
         assert len(flippable_pairs(ext)) < n
 
 
+def test_products_beyond_max_ground_are_refused_before_building(monkeypatch):
+    # the size is checked before the 2^n chain is built, not by the order's shape
+    lex9 = order_from_weight([1 << i for i in range(9)], 9)
+    lex8 = order_from_weight([1 << i for i in range(8)], 8)
+
+    def unreachable(*args):
+        raise AssertionError("a chain beyond MAX_GROUND was built")
+
+    monkeypatch.setattr(TermOrder, "from_chain", unreachable)
+    too_big = rf"ground-set size must be in 0\.\.{core.MAX_GROUND}, got 17"
+    with pytest.raises(ValueError, match=too_big):
+        lex_product(lex9, lex8)
+    with pytest.raises(ValueError, match=too_big):
+        deficient_extension(lex8, 17)
+
+
 def test_coherent_orders_have_at_least_n_flippable():
     for n, orders in ((3, None), (4, None)):
         for order in enumerate_orders(n, mode="canonical"):

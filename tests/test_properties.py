@@ -32,9 +32,11 @@ from booltermorders.coherence import (
     TieError,
     _comparisons,
     _constraints,
+    _weight_sums,
     find_weight,
     noncoherence_certificate,
     order_from_weight,
+    subset_sum,
     verify_certificate,
 )
 from booltermorders.core import (
@@ -155,40 +157,52 @@ def test_farkas_matches_fraction_oracle(canonical_orders):
 def ge_systems(draw):
     """A x >= b over n unknowns with small integer entries, n and m from 0.
 
-    With a flag, the rows x_i >= -2 are appended, so that a lexicographic
-    minimum exists more often; without it, most systems have none or are
-    infeasible.
+    Every unit row e_i, which ``lp.lex_min_ge`` requires, is inserted at a
+    random position with a right-hand side in -2..2, sometimes twice; so x
+    is bounded below, and a system has a lexicographic minimum exactly
+    when it is feasible.
     """
     n = draw(st.integers(0, 4))
     m = draw(st.integers(0, 6))
     A = draw(st.lists(st.lists(st.integers(-2, 2), min_size=n, max_size=n),
                       min_size=m, max_size=m))
     b = draw(st.lists(st.integers(-2, 2), min_size=m, max_size=m))
-    if draw(st.booleans()):
-        A += [[int(i == j) for j in range(n)] for i in range(n)]
-        b += [-2] * n
+    for i in range(n):
+        for _ in range(draw(st.integers(1, 2))):
+            at = draw(st.integers(0, len(A)))
+            A.insert(at, [int(i == j) for j in range(n)])
+            b.insert(at, draw(st.integers(-2, 2)))
     return A, b, n
 
 
 @given(ge_systems())
 @example(([], [], 0))  # nothing to solve
 @example(([[], []], [0, 1], 0))  # zero unknowns, infeasible
-@example(([], [], 2))  # zero rows: no minimum
 @example(([[1], [-1]], [1, 0], 1))  # infeasible
-@example(([[1, 0]], [0], 2))  # x_1 >= 0, but x_2 is unbounded below
-@example(([[1, 1], [1, 0], [-1, -1]], [1, 0, -3], 2))  # a minimum, (0, 1)
-@example(([[1, 0], [0, 1], [1, 1]], [1, 1, 3], 2))  # unit rows first: the unit start, (1, 2)
+@example(([[1, 1], [1, 0], [0, 1], [-1, -1]], [1, 0, 0, -3], 2))  # x_1 + x_2 >= 1 binds: (0, 1)
+@example(([[1, 0], [0, 1], [1, 1]], [1, 1, 3], 2))  # unit rows first: (1, 2)
 @example(([[0, 1], [1, 0], [1, 1], [0, 1]], [0, 2, 3, 1], 2))  # e_2 twice, the later binds: (2, 1)
-@example(([[1, 0], [1, 1]], [1, 3], 2))  # e_2 missing: the phase-1 start, (1, 2)
-@example(([[1, 0], [0, 1], [-1, -1]], [1, 1, -1], 2))  # the unit start, infeasible
+@example(([[1, 0], [0, 1], [-1, -1]], [1, 1, -1], 2))  # infeasible
 def test_lex_min_ge_matches_pin_oracle(system):
     # one lexicographic dual solve against 1 + n solves with pinned coordinates
     A, b, n = system
     x = lp.lex_min_ge(A, b, n)
     assert x == lex_min_by_pins(A, b, n)
+    assert (x is None) == (lp.farkas_ge(A, b) is not None)
     if x is not None:
         assert all(type(v) is Fraction for v in x)
         assert all(sum(a * v for a, v in zip(row, x)) >= beta for row, beta in zip(A, b))
+
+
+@given(
+    st.lists(st.integers(-1000, 1000), max_size=8)
+    | st.lists(st.fractions(min_value=-10, max_value=10, max_denominator=12), max_size=8)
+)
+def test_weight_sums_by_doubling_match_subset_sums(w):
+    sums = _weight_sums(w)
+    expected = [subset_sum(w, mask) for mask in range(1 << len(w))]
+    assert sums == expected
+    assert list(map(type, sums)) == list(map(type, expected))
 
 
 @st.composite
