@@ -5,9 +5,11 @@ levels, with the empty set alone at the bottom, that is compatible with
 disjoint unions: for disjoint gamma, the comparison of alpha and beta
 (below, same level, above) is preserved when both sides gain gamma.
 Total orders are the tie-free case and share ``core``'s level-array
-checks, so ``validate_partial`` and ``serialize_partial`` are
-``core.validate`` and ``core.serialize_order``; weight vectors induce
-partial orders by grouping equal subset sums.
+checks and ``coherence``'s weight answer, so ``validate_partial``,
+``serialize_partial``, ``find_partial_weight`` and ``is_coherent_partial``
+are ``core.validate``, ``core.serialize_order``, ``coherence.find_weight``
+and ``coherence.is_coherent``; weight vectors induce partial orders by
+grouping equal subset sums.
 """
 
 from __future__ import annotations
@@ -23,13 +25,14 @@ from .core import (
     ParseError,
     TermOrder,
     _shape,
+    _vouch,
     read_levels,
     require_valid,
     serialize_order,
     structural_fault,
     validate,
 )
-from .coherence import _constraints, _lex_min_weight, _weight_sums
+from .coherence import _constraints, _induced_level, find_weight, is_coherent
 
 
 class PartialOrderError(ParseError, OrderError):
@@ -63,12 +66,9 @@ class PartialTermOrder(LevelArray):
 
     @classmethod
     def from_weight(cls, weights: Sequence) -> "PartialTermOrder":
-        """Partial order grouping subsets with equal weight sums."""
-        n = len(weights)
-        sums = _weight_sums(weights)
-        distinct = sorted(set(sums))
-        index = {s: i for i, s in enumerate(distinct)}
-        return cls(n, tuple(index[s] for s in sums))
+        """Partial order grouping equal weight sums, valid once the constructor
+        accepts it: w(a) < w(b) iff w(a + g) < w(b + g) for g disjoint from both."""
+        return _vouch(cls(len(weights), _induced_level(weights)))
 
     @classmethod
     def trivial(cls, n: int) -> "PartialTermOrder":
@@ -81,9 +81,11 @@ class PartialTermOrder(LevelArray):
         return TermOrder(self.n, self.level)
 
 
-# one validator and one writer serve total and partial orders
+# one validator, one writer and one weight answer serve total and partial orders
 validate_partial = validate
 serialize_partial = serialize_order
+find_partial_weight = find_weight
+is_coherent_partial = is_coherent
 
 
 def refines(fine: PartialTermOrder, coarse: PartialTermOrder) -> bool:
@@ -97,25 +99,6 @@ def refines(fine: PartialTermOrder, coarse: PartialTermOrder) -> bool:
         raise ValueError("ground sets differ")
     pairs = sorted(set(zip(fine.level, coarse.level)))
     return all(f < f2 and c <= c2 for (f, c), (f2, c2) in zip(pairs, pairs[1:]))
-
-
-def is_coherent_partial(order: PartialTermOrder) -> bool:
-    """Whether some weight vector induces exactly these levels."""
-    return find_partial_weight(order) is not None
-
-
-def find_partial_weight(order: PartialTermOrder):
-    """An integer weight vector inducing the partial order, or None.
-
-    The lexicographic minimum of the weight program, found as for a total
-    order by :func:`coherence.find_weight`: strict level steps are rows
-    >= 1, ties are pairs of opposite rows >= 0.  The weights are positive
-    except for the one-level order, whose weight is 0.
-    """
-    weights = _lex_min_weight(order)
-    if weights is not None and PartialTermOrder.from_weight(weights).level != order.level:
-        raise AssertionError("LP produced a weight vector that does not induce the levels")
-    return weights
 
 
 def _extreme_rays(rows, n: int) -> list[tuple[int, ...]]:
@@ -191,7 +174,7 @@ def coherent_coarsenings_nontrivial(order: TermOrder) -> list[PartialTermOrder]:
 
     One for each positive extreme ray of the order's weight cone, induced
     by the ray and listed in the order of the rays; the ray is the
-    partial order's :func:`find_partial_weight`.  Every nontrivial
+    partial order's :func:`coherence.find_weight`.  Every nontrivial
     coherent coarsening is induced by a positive point of the cone, whose
     face contains one of these rays.
     """

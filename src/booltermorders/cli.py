@@ -267,11 +267,11 @@ def _cmd_baues(args) -> int:
         print(f"coherent-above-only-trivial: {'yes' if only_trivial else 'no'}")
         if not only_trivial:
             for coarse in baues.coherent_coarsenings_nontrivial(order):
-                weights = baues.find_partial_weight(coarse)
+                weights = coherence.find_weight(coarse)
                 print(f"coarsening w={_weight_str(weights)} levels={coarse.num_levels}")
         return 0 if only_trivial else 1
     order = _load_levels(args.file)
-    coherent = baues.is_coherent_partial(order)
+    coherent = coherence.is_coherent(order)
     print(f"levels={order.num_levels} coherent={'yes' if coherent else 'no'}")
     return 0 if coherent else 1
 

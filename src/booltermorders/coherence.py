@@ -1,12 +1,12 @@
 """Coherence of term orders: weight vectors and noncoherence certificates.
 
-A term order is coherent when some positive weight vector induces it by
-subset sums.  Deciding this is an exact rational LP over the distinct
-comparisons of consecutive levels, solved on the dual side: one
-lexicographic solve decides it and gives the least weight, and the
-Farkas dual of an infeasible program a cancellation certificate in the
-style of Kraft, Pratt, and Seidenberg: a multiset of ordered disjoint
-pairs whose left and right sides coincide as multisets of ground elements.
+A total or partial term order is coherent when some weight vector induces
+its levels by subset sums.  Deciding this is an exact rational LP over the
+distinct comparisons of consecutive levels, solved on the dual side: one
+lexicographic solve decides it and gives the least weight, and the Farkas
+dual of an infeasible program a cancellation certificate in the style of
+Kraft, Pratt, and Seidenberg: a multiset of ordered disjoint pairs whose
+left and right sides coincide as multisets of ground elements.
 """
 
 from __future__ import annotations
@@ -88,17 +88,24 @@ def _weight_sums(w: Sequence) -> list:
     return sums
 
 
+def _induced_level(w: Sequence) -> tuple[int, ...]:
+    """The level array w induces: subsets by weight sum, equal sums on one level."""
+    sums = _weight_sums(w)
+    index = {s: i for i, s in enumerate(sorted(set(sums)))}
+    return tuple(map(index.__getitem__, sums))
+
+
 def order_from_weight(w: Sequence, n: int) -> TermOrder:
     """Sort subsets by weight sum; raises TieError for non-generic weights."""
     if len(w) != n:
         raise ValueError(f"expected {n} weights, got {len(w)}")
-    sums = sorted(zip(_weight_sums(w), range(1 << n)))
+    level = _induced_level(w)
     if any(v <= 0 for v in w):
         raise ValueError("weights must be positive")
-    for (s1, m1), (s2, m2) in zip(sums, sums[1:]):
-        if s1 == s2:
-            raise TieError(m1, m2)
-    return _vouch(TermOrder.from_chain(n, [mask for _, mask in sums]))
+    if max(level) + 1 < len(level):
+        chain = sorted(range(1 << n), key=level.__getitem__)  # ties by mask
+        raise TieError(*next((a, b) for a, b in zip(chain, chain[1:]) if level[a] == level[b]))
+    return _vouch(TermOrder(n, level))
 
 
 def _comparisons(order) -> list[tuple[int, int, int]]:
@@ -146,36 +153,34 @@ def _to_integer_weights(w: list[Fraction]) -> tuple[int, ...]:
     return tuple(v // g for v in ints)
 
 
-def _lex_min_weight(order):
-    """The lex-min solution of :func:`_constraints` as coprime integers, or None.
+def find_weight(order):
+    """An integer weight vector inducing a total or partial order's levels, or None.
 
-    One lexicographic dual solve (:func:`lp.lex_min_ge`); None when not coherent.
-    """
-    w = lp.lex_min_ge(*_constraints(order), order.n)
-    return None if w is None else _to_integer_weights(w)
-
-
-def find_weight(order: TermOrder):
-    """A positive integer weight vector inducing the order, or None.
-
-    The result is the lexicographic minimum of the feasible region, scaled
-    to coprime integers, so outputs are reproducible.
+    The lexicographic minimum of :func:`_constraints` by one dual solve, scaled
+    to coprime integers, so outputs are reproducible; positive except for the
+    one-level order's 0, and rechecked against the level array it induces.
     """
     require_valid(order)
-    weights = _lex_min_weight(order)
-    if weights is not None and order_from_weight(weights, order.n) != order:
+    w = lp.lex_min_ge(*_constraints(order), order.n)
+    if w is None:
+        return None
+    weights = _to_integer_weights(w)
+    if _induced_level(weights) != order.level:
         raise AssertionError("LP produced a weight vector that does not induce the order")
     return weights
 
 
-def noncoherence_certificate(order: TermOrder) -> Certificate:
+def noncoherence_certificate(order) -> Certificate:
     """Extract a cancellation certificate from the Farkas dual.
 
-    Raises CoherentOrderError if the order is coherent.  The dual solution
-    is cleared to integers and read off the distinct comparisons; the
-    result always passes :func:`verify_certificate`.
+    Raises CoherentOrderError if the order is coherent, and ValueError if
+    it has ties, whose rows would give pairs that do not increase.  The
+    dual solution is cleared to integers and read off the distinct
+    comparisons; the result always passes :func:`verify_certificate`.
     """
     require_valid(order)
+    if not order.is_total():
+        raise ValueError("a noncoherence certificate needs a total order; this one has ties")
     comps = _comparisons(order)
     lam = lp.farkas_ge(*_constraints(order, comps))
     if lam is None:
@@ -201,17 +206,18 @@ class CertificateCheck:
         return self.ok
 
 
-def verify_certificate(order: TermOrder, cert: Certificate) -> CertificateCheck:
-    """Pairs must exist, lie in [n], increase and cancel; an invalid order raises OrderError."""
+def verify_certificate(order, cert: Certificate) -> CertificateCheck:
+    """Pairs must exist, lie in [n], increase strictly in ``order.level`` and cancel
+    (ruling out any inducing weight, ties or not); an invalid order raises OrderError."""
     require_valid(order)
-    n = order.n
+    n, level = order.n, order.level
     if not cert.pairs:
         return CertificateCheck(False, "the certificate has no pairs")
     counts = [0] * n
     for pair, mult in zip(cert.pairs, cert.multiplicities):
         if (pair.left | pair.right) >> n:
             return CertificateCheck(False, f"pair {pair} has a side outside [{n}]")
-        if order.rank[pair.left] >= order.rank[pair.right]:
+        if level[pair.left] >= level[pair.right]:
             return CertificateCheck(False, f"pair {pair} is not increasing in the order")
         for i in range(n):
             counts[i] += mult * (((pair.right >> i) & 1) - ((pair.left >> i) & 1))
@@ -222,11 +228,11 @@ def verify_certificate(order: TermOrder, cert: Certificate) -> CertificateCheck:
     return CertificateCheck(True)
 
 
-def is_coherent(order: TermOrder) -> bool:
-    """Whether some positive weight vector induces the order.
+def is_coherent(order) -> bool:
+    """Whether some weight vector induces the order's levels.
 
     Decided by :func:`find_weight`'s lexicographic solve, so every yes is
-    rechecked by :func:`order_from_weight`.  The empty order (n = 0) is
-    coherent.
+    rechecked by the level array the weight induces.  The empty order
+    (n = 0) is coherent.
     """
     return find_weight(order) is not None

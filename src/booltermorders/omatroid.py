@@ -50,6 +50,8 @@ class Signature:
     """An antisymmetric signing of all nonzero sign vectors."""
 
     def __init__(self, n: int, values: Mapping[SignVector, int]):
+        if not 0 <= n <= MAX_SIGNATURE:  # before 3^n - 1 sign vectors are built
+            raise ValueError(f"n must be in 0..{MAX_SIGNATURE} for a signature, got {n}")
         self.n = n
         full = {}
         for x in sign_vectors(n):

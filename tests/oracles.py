@@ -897,7 +897,7 @@ def coherent_by_farkas(order) -> bool:
 
 
 def lex_min_weight_full_rows(order):
-    """``coherence._lex_min_weight`` over :func:`constraints_full_rows`, by pins."""
+    """``coherence.find_weight`` over :func:`constraints_full_rows`, by pins."""
     w = lex_min_by_pins(*constraints_full_rows(order), order.n)
     return None if w is None else _to_integer_weights(w)
 

@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -8,6 +9,7 @@ from booltermorders.baues import (
     PartialTermOrder,
     coherent_above_only_trivial,
     find_partial_weight,
+    is_coherent_partial,
 )
 from booltermorders.catalog import (
     coherence_isolated_six,
@@ -165,6 +167,34 @@ def test_empty_order_is_coherent():
     assert coherent_above_only_trivial(order)
 
 
+def test_find_weight_serves_partial_orders():
+    # w = 0 induces the one-level order, tied weights their own ties, and a
+    # tie-free partial order has its total order's weight
+    for n in range(5):
+        trivial = PartialTermOrder.trivial(n)
+        assert find_weight(trivial) == (0,) * n
+        assert is_coherent(trivial)
+    tied = PartialTermOrder.from_weight((1, 1, 2))
+    assert find_weight(tied) == (1, 1, 2)
+    assert is_coherent(tied)
+    for n in range(5):
+        for order in enumerate_orders(n):
+            partial = PartialTermOrder.from_total(order)
+            assert find_weight(partial) == find_weight(order)
+            assert is_coherent(partial) == is_coherent(order)
+
+
+def test_weight_route_refuses_an_invalid_partial_order():
+    # {} < {1} < {2} = {1,2}: adding {2} to the step {} < {1} gives a tie
+    order = PartialTermOrder(2, (0, 1, 2, 2))
+    reason = validate(order).reason
+    for answer in (find_weight, is_coherent, find_partial_weight, is_coherent_partial):
+        with pytest.raises(OrderError, match=re.escape(reason)):
+            answer(order)
+    assert find_partial_weight is find_weight
+    assert is_coherent_partial is is_coherent
+
+
 def test_noncoherent_example():
     order = noncoherent_five()
     assert not is_coherent(order)
@@ -194,6 +224,25 @@ def test_solver_certificate_verifies():
     order = noncoherent_five()
     cert = noncoherence_certificate(order)
     assert verify_certificate(order, cert)
+
+
+def test_noncoherence_certificate_of_a_partial_order():
+    # a tie-free partial order gets its total order's certificate; a tie row
+    # would give a pair that does not increase strictly, so ties are refused
+    total = noncoherent_five()
+    cert = noncoherence_certificate(PartialTermOrder.from_total(total))
+    assert cert == noncoherence_certificate(total)
+    with pytest.raises(ValueError, match="needs a total order"):
+        noncoherence_certificate(PartialTermOrder.from_weight((1, 1, 2)))
+
+
+def test_verify_certificate_reads_levels():
+    cert = noncoherent_five_certificate()
+    assert verify_certificate(PartialTermOrder.from_total(noncoherent_five()), cert)
+    # {1} < {2} and {2} < {1} cancel, but the two tie
+    tied = Certificate((DisjointPair(0b01, 0b10), DisjointPair(0b10, 0b01)), (1, 1))
+    check = verify_certificate(PartialTermOrder.from_weight((1, 1, 2)), tied)
+    assert not check and check.reason == f"pair {tied.pairs[0]} is not increasing in the order"
 
 
 def test_certificate_soundness():

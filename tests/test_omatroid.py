@@ -170,3 +170,9 @@ def test_mu_from_order_is_bounded_in_n():
     assert mu_from_order(TermOrder.from_chain(MAX_SIGNATURE, range(1 << MAX_SIGNATURE))).n == 8
     with pytest.raises(ValueError, match="at most 8"):
         mu_from_order(TermOrder.from_chain(9, range(1 << 9)))
+
+
+def test_signature_is_bounded_in_n_before_enumerating():
+    for n in (9, -1):
+        with pytest.raises(ValueError, match=r"n must be in 0\.\.8 for a signature"):
+            Signature(n, {})
