@@ -13,17 +13,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
-from functools import lru_cache, reduce
 from itertools import repeat
 from numbers import Rational
-from operator import and_, sub, xor
+from operator import and_, xor
 from typing import Sequence
 
 from . import lp
 from .core import (
     DisjointPair,
     TermOrder,
+    _ground,
     _vouch,
     format_subset,
     reduced_pair,
@@ -89,7 +88,8 @@ def _weight_sums(w: Sequence) -> list:
 
 
 def _induced_level(w: Sequence) -> tuple[int, ...]:
-    """The level array w induces: subsets by weight sum, equal sums on one level."""
+    """The level array w induces (equal sums on one level), once len(w) is in bounds."""
+    _ground(len(w))
     sums = _weight_sums(w)
     index = {s: i for i, s in enumerate(sorted(set(sums)))}
     return tuple(map(index.__getitem__, sums))
@@ -132,39 +132,40 @@ def _comparisons(order) -> list[tuple[int, int, int]]:
     return list(dict.fromkeys(comps))
 
 
-@lru_cache(maxsize=None)
-def _indicators(n: int) -> tuple[tuple[int, ...], ...]:
-    """The 0/1 indicator vector of every subset of [n], by mask; cached for n <= 8."""
-    return tuple(tuple(mask >> i & 1 for i in range(n)) for mask in range(1 << n))
+def _columns(comps, n: int) -> list[list[int]]:
+    """The weight program's n columns (bit j of right minus bit j of left), then b."""
+    columns = [[(r >> j & 1) - (l >> j & 1) for l, r, _ in comps] for j in range(n)]
+    return columns + [[rhs for _, _, rhs in comps]]
 
 
-def _constraints(order, comps=None) -> tuple[list[list[int]], list[int]]:
+def _constraints(order) -> tuple[list[list[int]], list[int]]:
     """The weight program A w >= b, one row per :func:`_comparisons` entry."""
-    comps = _comparisons(order) if comps is None else comps
-    bits = (_indicators if order.n <= 8 else _indicators.__wrapped__)(order.n)
-    rows = [list(map(sub, bits[right], bits[left])) for left, right, _ in comps]
-    return rows, [rhs for _, _, rhs in comps]
+    *columns, rhs = _columns(_comparisons(order), order.n)
+    return list(map(list, zip(*columns))), rhs
 
 
-def _to_integer_weights(w: list[Fraction]) -> tuple[int, ...]:
-    denom = reduce(math.lcm, (v.denominator for v in w), 1)
-    ints = [int(v * denom) for v in w]
-    g = reduce(math.gcd, ints, 0) or 1
-    return tuple(v // g for v in ints)
+def _coprime(numerators) -> tuple[int, ...]:
+    """Numerators over one positive denominator, divided by their gcd (zeros stay zeros)."""
+    g = math.gcd(*numerators) or 1
+    return tuple(v // g for v in numerators)
 
 
 def find_weight(order):
     """An integer weight vector inducing a total or partial order's levels, or None.
 
-    The lexicographic minimum of :func:`_constraints` by one dual solve, scaled
-    to coprime integers, so outputs are reproducible; positive except for the
+    The lexicographic minimum of :func:`_constraints` by one dual solve, as
+    coprime integers, so outputs are reproducible; positive except for the
     one-level order's 0, and rechecked against the level array it induces.
     """
     require_valid(order)
-    w = lp.lex_min_ge(*_constraints(order), order.n)
-    if w is None:
+    comps = _comparisons(order)
+    pairs = [comp[:2] for comp in comps]
+    basis = [pairs.index((0, 1 << j)) for j in range(order.n)]
+    *columns, rhs = _columns(comps, order.n)
+    solution = lp._lex_min(columns, basis, rhs)
+    if solution is None:
         return None
-    weights = _to_integer_weights(w)
+    weights = _coprime(solution[1])
     if _induced_level(weights) != order.level:
         raise AssertionError("LP produced a weight vector that does not induce the order")
     return weights
@@ -175,17 +176,20 @@ def noncoherence_certificate(order) -> Certificate:
 
     Raises CoherentOrderError if the order is coherent, and ValueError if
     it has ties, whose rows would give pairs that do not increase.  The
-    dual solution is cleared to integers and read off the distinct
-    comparisons; the result always passes :func:`verify_certificate`.
+    dual solution's numerators, divided by their gcd, are the multiplicities
+    of the distinct comparisons; the result always passes :func:`verify_certificate`.
     """
     require_valid(order)
     if not order.is_total():
         raise ValueError("a noncoherence certificate needs a total order; this one has ties")
     comps = _comparisons(order)
-    lam = lp.farkas_ge(*_constraints(order, comps))
+    # the Farkas dual lam.A = 0, lam.b = 1, lam >= 0 of lp.farkas_ge, on integers
+    rows = [row + [0] for row in _columns(comps, order.n)]
+    rows[-1][-1] = 1
+    lam = lp._solve_eq(rows, [0] * len(comps))[2]
     if lam is None:
         raise CoherentOrderError("order is coherent; no certificate exists")
-    mults = _to_integer_weights(lam)
+    mults = _coprime(lam)
     used = sorted((left, right, m) for (left, right, _), m in zip(comps, mults) if m)
     cert = Certificate(
         pairs=tuple(DisjointPair(left, right) for left, right, _ in used),

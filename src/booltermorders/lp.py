@@ -1,20 +1,20 @@
 """Exact rational linear programming (simplex over integers).
 
-The tableau holds Python integers over one common positive denominator and
-pivots by Edmonds' integer-preserving step (Bareiss), so no floating point
-and no :class:`fractions.Fraction` arithmetic enters a pivot; solutions and
-objectives are returned as exact Fractions.  Constraint matrices are
-integer, right-hand sides and costs may be rational.  Problems here are
-tiny (tens of rows and columns), so a dense tableau is plenty.  Programs
-``A x >= b`` with n unknowns and a row per distinct comparison of an order
-are solved on the dual side, one tableau row per unknown, by one kernel
-call each.  :func:`lex_min_ge` (the lexicographic minimum, or None when
-infeasible) needs every unit row in A; it starts from their dual columns
-and enters the most negative reduced cost.  :func:`farkas_ge` (a
-certificate of infeasibility) calls :func:`solve_eq`, which starts from
-artificial columns (two phases) and enters by Bland's rule.  No library
-code calls the primal encoders :func:`minimize_ge` and :func:`feasible_ge`;
-the benchmark and the tests call them (ROADMAP.md plans their removal).
+The tableau holds Python integers over one common positive denominator d
+and pivots by Edmonds' integer-preserving step (Bareiss), so no floating
+point and no :class:`fractions.Fraction` enters the one kernel
+(:func:`_simplex` over :func:`_pivot`), which returns integer numerators
+over d.  The coherence module reads weights and certificates off them
+through :func:`_lex_min` and :func:`_solve_eq`; the public solvers are
+thin wrappers that return exact Fractions.  Problems here are tiny (tens
+of rows and columns), so a dense tableau is plenty.  :func:`lex_min_ge`
+(the lexicographic minimum of ``A x >= b``, or None when infeasible) needs
+every unit row in A; it starts from their dual columns and enters the
+most negative reduced cost.  :func:`farkas_ge` (a certificate of
+infeasibility) calls :func:`solve_eq`, which starts from artificial
+columns (two phases) and enters by Bland's rule.  No library code calls
+the primal encoders :func:`minimize_ge` and :func:`feasible_ge`; the
+benchmark and the tests call them (ROADMAP.md plans their removal).
 """
 
 from __future__ import annotations
@@ -23,10 +23,6 @@ import math
 from fractions import Fraction
 from operator import index
 from typing import Sequence
-
-
-def _lcm_of_denominators(values) -> int:
-    return math.lcm(*[v.denominator for v in values])
 
 
 def _pivot(tab, basis, d, row, col):
@@ -55,23 +51,19 @@ def _pivot(tab, basis, d, row, col):
 
 
 def _simplex(tab, basis, d, cost, k, dantzig=False):
-    """Minimize cost over the tableau's feasible basis.
+    """Minimize an integer cost over the tableau's feasible basis.
 
     ``tab`` rows are integers [a_1 ... a_w | rhs_1 ... rhs_k] over the
     denominator d, with the basic columns d times the identity; the
     right-hand side rhs_1 + eps rhs_2 + ... (every small eps > 0) is
-    lexicographically nonnegative in each row.  ``cost`` is rational over the
-    structural columns, scaled to integers by the lcm of its denominators (a
-    positive scale leaves every pivot as it is).  The first improving column
+    lexicographically nonnegative in each row.  The first improving column
     enters (Bland), or with ``dantzig`` the most negative, safe only where
-    no pivot is degenerate.  Returns (denominator, the objective's k
-    eps-coefficients or None if unbounded); ``tab`` and ``basis`` change.
+    no pivot is degenerate.  Returns (denominator, numerators over it of the
+    objective's k eps-coefficients or None if unbounded); ``tab`` and ``basis`` change.
     """
     m = len(tab)
     width = len(cost)
-    scale = _lcm_of_denominators(cost)
-    cost = [int(v * scale) for v in cost]
-    # reduced-cost row over d * scale, pivoted with the tableau
+    # reduced-cost row over d, pivoted with the tableau
     red = [d * v for v in cost] + [0] * k
     for r in range(m):
         cb = cost[basis[r]]
@@ -84,7 +76,7 @@ def _simplex(tab, basis, d, cost, k, dantzig=False):
             costs = red[:width]
             low = min(costs, default=0) if dantzig else next(filter((0).__gt__, costs), 0)
             if low >= 0:
-                return d, [Fraction(-v, d * scale) for v in red[width:]]
+                return d, [-v for v in red[width:]]
             enter = red.index(low)  # the first column with that reduced cost
             leave = -1
             for r in range(m):
@@ -106,28 +98,20 @@ def _simplex(tab, basis, d, cost, k, dantzig=False):
         tab.pop()
 
 
-def solve_eq(A: Sequence[Sequence[int]], b: Sequence[Fraction], c: Sequence[Fraction]):
-    """min c.x subject to A x = b, x >= 0, for integer A.
-
-    Returns (status, x, objective) with status one of "optimal",
-    "infeasible", "unbounded"; x and the objective are Fractions.
-    """
-    m = len(A)
-    n = len(A[0]) if m else len(c)
-    # the whole tableau, artificial identity included, is scaled by d
-    d = _lcm_of_denominators(b)
-    tab = []
-    for i in range(m):
-        row = [d * index(v) for v in A[i]] + [0] * m + [int(d * b[i])]
-        if row[-1] < 0:
-            row = [-v for v in row]
-        tab.append(row)
-        tab[i][n + i] = d
+def _solve_eq(rows, c, d=1):
+    """:func:`solve_eq` on integer ``rows`` [A_i | b_i] over d > 0 and an integer cost c:
+    (status, d, x, objective), x and the objective numerators over d, or None."""
+    m = len(rows)
+    n = len(c)
+    tab = [[-v for v in row] if row[n] < 0 else list(row) for row in rows]
+    for i, row in enumerate(tab):
+        row[n:n] = [0] * m  # the artificial columns, d times the identity
+        row[n + i] = d
     basis = [n + i for i in range(m)]
     # phase 1: drive out artificials
     d, infeasibility = _simplex(tab, basis, d, [0] * n + [1] * m, 1)
     if infeasibility[0]:
-        return "infeasible", None, None
+        return "infeasible", d, None, None
     for r in range(m):
         if basis[r] >= n:
             for j in range(n):
@@ -139,11 +123,26 @@ def solve_eq(A: Sequence[Sequence[int]], b: Sequence[Fraction], c: Sequence[Frac
     basis = [basis[r] for r in keep]
     d, obj = _simplex(tab, basis, d, c, 1)
     if obj is None:
-        return "unbounded", None, None
-    x = [Fraction(0)] * n
+        return "unbounded", d, None, None
+    x = [0] * n
     for r, j in enumerate(basis):
-        x[j] = Fraction(tab[r][n], d)
-    return "optimal", x, obj[0]
+        x[j] = tab[r][n]
+    return "optimal", d, x, obj[0]
+
+
+def solve_eq(A: Sequence[Sequence[int]], b: Sequence[Fraction], c: Sequence[Fraction]):
+    """min c.x subject to A x = b, x >= 0, for integer A.
+
+    Returns (status, x, objective) with status one of "optimal",
+    "infeasible", "unbounded"; x and the objective are Fractions.
+    """
+    d = math.lcm(*[v.denominator for v in b])
+    scale = math.lcm(*[v.denominator for v in c])  # scaling c changes no pivot
+    rows = [[d * index(v) for v in a] + [int(d * beta)] for a, beta in zip(A, b)]
+    status, d, x, obj = _solve_eq(rows, [int(v * scale) for v in c], d)
+    if x is None:
+        return status, None, None
+    return status, [Fraction(v, d) for v in x], Fraction(obj, d * scale)
 
 
 def feasible_ge(A: Sequence[Sequence[int]], b: Sequence[int]):
@@ -189,6 +188,15 @@ def minimize_ge(
     return status, [x[i] - x[n + i] for i in range(n)], obj
 
 
+def _lex_min(columns, basis, b):
+    """:func:`lex_min_ge` on integers: the n columns of A, the index of each
+    unit row e_j in A, and integer b; (d, the minimum's numerators over d) or None."""
+    n = len(columns)
+    tab = [column + [int(i == j) for i in range(n)] for j, column in enumerate(columns)]
+    d, obj = _simplex(tab, basis, 1, [-v for v in b], n, dantzig=True)
+    return None if obj is None else (d, [-v for v in obj])
+
+
 def lex_min_ge(A: Sequence[Sequence[int]], b: Sequence[int], n: int):
     """The lexicographic minimum of {x : A x >= b} over n unknowns, or None.
 
@@ -200,13 +208,11 @@ def lex_min_ge(A: Sequence[Sequence[int]], b: Sequence[int], n: int):
     and no pivot is degenerate: each right-hand-side row is an
     inverse-basis row.
     """
-    columns = [[a[j] for a in A] for j in range(n)]
-    units = [[int(i == j) for i in range(n)] for j in range(n)]
     rows = list(map(list, A))
     try:
-        basis = list(map(rows.index, units))
+        basis = [rows.index([int(i == j) for i in range(n)]) for j in range(n)]
     except ValueError:
         raise ValueError(f"A must hold every unit row e_1 ... e_{n}") from None
-    tab = [list(map(index, column)) + unit for column, unit in zip(columns, units)]
-    obj = _simplex(tab, basis, 1, [-v for v in b], n, dantzig=True)[1]
-    return None if obj is None else [-v for v in obj]
+    columns = [[index(a[j]) for a in A] for j in range(n)]
+    solution = _lex_min(columns, basis, list(map(index, b)))
+    return None if solution is None else [Fraction(v, solution[0]) for v in solution[1]]

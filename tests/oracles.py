@@ -16,7 +16,7 @@ import numpy as np
 from booltermorders import lp
 from booltermorders.arrangement import CharPoly, _rank_det, normals
 from booltermorders.baues import PartialTermOrder
-from booltermorders.coherence import Certificate, _constraints, _to_integer_weights
+from booltermorders.coherence import Certificate, _constraints
 from booltermorders.core import (
     MAX_GROUND,
     DisjointPair,
@@ -862,6 +862,15 @@ def constraints_full_rows(order) -> tuple[list[list[int]], list[int]]:
             rows += [tie, [-v for v in tie]]
             rhs += [0, 0]
     return rows, rhs
+
+
+def _to_integer_weights(w: list[Fraction]) -> tuple[int, ...]:
+    """Reference for the integer read-off ``coherence._coprime``: Fractions
+    cleared by the lcm of their denominators, then divided by the gcd."""
+    denom = math.lcm(*(v.denominator for v in w))
+    ints = [int(v * denom) for v in w]
+    g = math.gcd(*ints) or 1
+    return tuple(v // g for v in ints)
 
 
 def lex_min_by_pins(A, b, n: int):

@@ -31,7 +31,7 @@ from booltermorders.coherence import (
 )
 from booltermorders.core import DisjointPair, OrderError, TermOrder, parse_order, relabel, validate
 from booltermorders.enumeration import enumerate_orders
-from booltermorders import lp
+from booltermorders import coherence, lp
 from conftest import extended
 from oracles import (
     certificate_full_rows,
@@ -281,6 +281,21 @@ def test_certificate_without_pairs_or_with_a_side_outside_n_fails():
     assert verify_certificate(order, late).reason == f"pair {late.pairs[1]} has a side outside [5]"
 
 
+def test_oversized_weight_vectors_are_refused_before_any_sum(monkeypatch):
+    # 17 weights would build 2^17 sums (and then answer TieError for 1..17), and
+    # 40 would try 2^40: both routes refuse the ground-set size first
+    def no_sums(w):
+        raise AssertionError(f"{len(w)} weights reached the subset sums")
+
+    monkeypatch.setattr(coherence, "_weight_sums", no_sums)
+    for n in (17, 40):
+        weights = range(1, n + 1)
+        with pytest.raises(OrderError, match=rf"ground-set size must be in 0\.\.16, got {n}"):
+            order_from_weight(weights, n)
+        with pytest.raises(OrderError, match=rf"ground-set size must be in 0\.\.16, got {n}"):
+            PartialTermOrder.from_weight(weights)
+
+
 def test_float_weights_are_refused():
     # rounded sums put {3} below {1,2}, though 1/10 + 2/10 = 3/10 exactly
     for weights in [(0.1, 0.2, 0.3), (1, 2.0, 4)]:
@@ -335,8 +350,8 @@ def test_lex_min_ge_starts_from_the_unit_rows(monkeypatch):
     # the one-level order the ties w_i >= 0, so no weight solve and no decision
     # reaches the two-phase solve, which only the certificate runs
     calls = []
-    solve = lp.solve_eq
-    monkeypatch.setattr(lp, "solve_eq", lambda *args: calls.append(args) or solve(*args))
+    solve = lp._solve_eq
+    monkeypatch.setattr(lp, "_solve_eq", lambda *args: calls.append(args) or solve(*args))
     assert find_weight(order_from_weight((7, 10, 16, 20, 22), 5)) == (7, 10, 16, 20, 22)
     assert find_weight(noncoherent_five()) is None
     assert is_coherent(order_from_weight((7, 10, 16, 20, 22), 5))

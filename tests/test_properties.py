@@ -32,6 +32,7 @@ from booltermorders.coherence import (
     TieError,
     _comparisons,
     _constraints,
+    _coprime,
     _weight_sums,
     find_weight,
     noncoherence_certificate,
@@ -87,6 +88,7 @@ from oracles import (
     serialize_partial_levels,
     signature_from_positives,
     singleton_axioms_two_lists,
+    _to_integer_weights,
     transposed,
     union_violation_list_scan,
     validate_partial_quadruples,
@@ -146,11 +148,27 @@ def farkas_by_fraction_oracle(A, b):
     return lam if status == "optimal" else None
 
 
-def test_farkas_matches_fraction_oracle(canonical_orders):
+def test_farkas_matches_fraction_oracle(canonical_orders, coherence_flags):
+    # every class with n <= 4 is coherent, so both sides give None there
     for n in range(1, 5):
         for order in canonical_orders[n]:
             rows, rhs = _constraints(order)
             assert lp.farkas_ge(rows, rhs) == farkas_by_fraction_oracle(rows, rhs)
+    # the 30 noncoherent n=5 classes, canonical and under a seeded relabeling: the
+    # certificate read off the kernel's integer numerators is the oracle's Fraction
+    # multipliers cleared to integers
+    rng = random.Random(20261019)
+    noncoherent = [o for o, flag in zip(canonical_orders[5], coherence_flags[5]) if not flag]
+    assert len(noncoherent) == 30
+    for cls in noncoherent:
+        for order in (cls, relabel(cls, rng.sample(range(5), 5))):
+            rows, rhs = _constraints(order)
+            lam = farkas_by_fraction_oracle(rows, rhs)
+            assert lam is not None and lp.farkas_ge(rows, rhs) == lam
+            mults = _to_integer_weights(lam)
+            expected = sorted((l, r, m) for (l, r, _), m in zip(_comparisons(order), mults) if m)
+            cert = noncoherence_certificate(order)
+            assert [(p.left, p.right, m) for p, m in zip(cert.pairs, cert.multiplicities)] == expected
 
 
 @st.composite
@@ -192,6 +210,24 @@ def test_lex_min_ge_matches_pin_oracle(system):
     if x is not None:
         assert all(type(v) is Fraction for v in x)
         assert all(sum(a * v for a, v in zip(row, x)) >= beta for row, beta in zip(A, b))
+
+
+@given(ge_systems())
+@example(([[1], [-1]], [1, 0], 1))  # infeasible
+@example(([[], []], [0, 1], 0))  # zero unknowns, infeasible
+@example((*_constraints(PartialTermOrder.trivial(3)), 3))  # the one-level order: w = 0
+@example(([[1, 0], [0, 1], [1, 1]], [1, 1, 3], 2))  # (1, 2)
+@example(([[2, 0], [1, 0], [0, 1], [0, 3]], [1, 0, 0, 2], 2))  # (1/2, 2/3) -> (3, 4)
+def test_integer_read_off_matches_the_fraction_route(system):
+    # the kernel's numerators divided by their gcd, as find_weight reads them,
+    # against lex_min_ge's Fractions cleared to integers
+    A, b, n = system
+    basis = [A.index([int(i == j) for i in range(n)]) for j in range(n)]
+    solution = lp._lex_min(transposed(A, n), basis, b)
+    x = lp.lex_min_ge(A, b, n)
+    assert (solution is None) == (x is None)
+    if x is not None:
+        assert _coprime(solution[1]) == _to_integer_weights(x)
 
 
 @given(
