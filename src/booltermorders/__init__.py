@@ -5,65 +5,46 @@ comparisons preserved under union with disjoint sets: validation,
 enumeration, coherence (exact rational LP), flips and flip graphs, the
 associated hyperplane arrangement, oriented-matroid localizations, and the
 refinement poset of generalized partial term orders.
+
+Names resolve on first use (PEP 562): ``import booltermorders`` imports no
+layer, and ``booltermorders.char_poly`` imports ``arrangement`` alone.
 """
 
-from .core import (
-    DisjointPair,
-    OrderError,
-    ParseError,
-    TermOrder,
-    canonicalize,
-    is_valid,
-    parse_order,
-    serialize_order,
-    validate,
-)
-from .enumeration import count_orders, enumerate_orders
-from .coherence import (
-    Certificate,
-    find_weight,
-    is_coherent,
-    noncoherence_certificate,
-    order_from_weight,
-    verify_certificate,
-)
-from .flips import flip, flip_graph, flippable_pairs, lex_product, primitive_pairs
-from .arrangement import char_poly, region_count
-from .omatroid import Signature, check_localization, check_mu_conditions, mu_from_order
-from .baues import PartialTermOrder, coherent_above_only_trivial, refines
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Certificate",
-    "DisjointPair",
-    "OrderError",
-    "ParseError",
-    "PartialTermOrder",
-    "Signature",
-    "TermOrder",
-    "canonicalize",
-    "char_poly",
-    "check_localization",
-    "check_mu_conditions",
-    "coherent_above_only_trivial",
-    "count_orders",
-    "enumerate_orders",
-    "find_weight",
-    "flip",
-    "flip_graph",
-    "flippable_pairs",
-    "is_coherent",
-    "is_valid",
-    "lex_product",
-    "mu_from_order",
-    "noncoherence_certificate",
-    "order_from_weight",
-    "parse_order",
-    "primitive_pairs",
-    "refines",
-    "region_count",
-    "serialize_order",
-    "validate",
-    "verify_certificate",
-]
+# each public name by its home module
+_HOME = {
+    name: module
+    for module, names in {
+        "core": "DisjointPair OrderError ParseError TermOrder canonicalize is_valid "
+        "parse_order serialize_order validate",
+        "enumeration": "count_orders enumerate_orders",
+        "coherence": "Certificate find_weight is_coherent noncoherence_certificate "
+        "order_from_weight verify_certificate",
+        "flips": "flip flip_graph flippable_pairs lex_product primitive_pairs",
+        "arrangement": "char_poly region_count",
+        "omatroid": "Signature check_localization check_mu_conditions mu_from_order",
+        "baues": "PartialTermOrder coherent_above_only_trivial refines",
+    }.items()
+    for name in names.split()
+}
+
+# the layers a bare ``import booltermorders`` makes reachable as attributes
+_LAYERS = {*_HOME.values(), "lp"}
+
+__all__ = sorted(_HOME)
+
+
+def __getattr__(name: str):
+    if name in _LAYERS:
+        return import_module(f".{name}", __name__)
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(import_module(f".{_HOME[name]}", __name__), name)
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_HOME, *_LAYERS})

@@ -34,8 +34,14 @@ MAX_CHARPOLY = 6
 _MAX_MINOR = (1, 1, 2, 4, 16, 48, 160)
 
 
+def _check_n(n: int) -> None:
+    if not 1 <= n <= MAX_CHARPOLY:
+        raise ValueError(f"n must be in 1..{MAX_CHARPOLY}, got {n}")
+
+
 def normals(n: int) -> list[tuple[int, ...]]:
     """Sign-canonical normal vectors: first nonzero entry +1."""
+    _check_n(n)
     out = []
     for v in itertools.product((0, 1, -1), repeat=n):
         nz = next((x for x in v if x), None)
@@ -233,8 +239,7 @@ def char_poly(n: int) -> CharPoly:
     the first n+1 interpolate, the last cross-validates, and the result
     must be monic and vanish at 1.
     """
-    if not 1 <= n <= MAX_CHARPOLY:
-        raise ValueError(f"n must be in 1..{MAX_CHARPOLY}, got {n}")
+    _check_n(n)
     primes = _primes_for(n, n + 2)
     counts = [point_count(n, q) for q in primes]
     coeffs = _interpolate(primes[: n + 1], counts[: n + 1])
@@ -314,6 +319,7 @@ def verify_discriminantal(n: int) -> bool:
     dependent; the nonzero normals, gcd-reduced and sign-canonical, must
     form the set :func:`normals`.
     """
+    _check_n(n)
     spanned = set()
     for subset in itertools.combinations(root_system(n), n - 1):
         normal = [

@@ -14,23 +14,22 @@ Every subcommand keeps one exit-code contract:
 from __future__ import annotations
 
 import argparse
-import hashlib
 import math
 import os
 import sys
 from pathlib import Path
 
-from . import arrangement, baues, coherence, flips, omatroid
+# every other layer is imported by the subcommands that use it
 from .core import (
     MAX_GROUND,
     DisjointPair,
+    LevelArray,
     OrderError,
     TermOrder,
     parse_order,
     parse_subset,
     serialize_order,
 )
-from .enumeration import count_orders, enumerate_orders
 
 
 class UsageError(Exception):
@@ -48,9 +47,10 @@ def _load_order(path: str) -> TermOrder:
     return parse_order(_read(path))
 
 
-def _load_levels(path: str) -> baues.PartialTermOrder:
+def _load_levels(path: str) -> LevelArray:
     """Total or partial order file; a total order has one subset per level."""
-    return baues.parse_partial(_read(path))
+    from .baues import parse_partial
+    return parse_partial(_read(path))
 
 
 def _parse_pair(text: str, n: int) -> DisjointPair:
@@ -64,12 +64,8 @@ def _parse_pair(text: str, n: int) -> DisjointPair:
     return DisjointPair(left, right)
 
 
-def _print_certificate(cert: coherence.Certificate) -> None:
-    for pair, mult in zip(cert.pairs, cert.multiplicities):
-        print(f"pair: {pair} x{mult}")
-
-
-def _parse_certificate(text: str, n: int) -> coherence.Certificate:
+def _parse_certificate(text: str, n: int):
+    from .coherence import Certificate
     pairs, mults = [], []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -88,7 +84,7 @@ def _parse_certificate(text: str, n: int) -> coherence.Certificate:
         mults.append(int(mult_text))
     if not pairs:
         raise UsageError("empty certificate file")
-    return coherence.Certificate(pairs=tuple(pairs), multiplicities=tuple(mults))
+    return Certificate(pairs=tuple(pairs), multiplicities=tuple(mults))
 
 
 def _weight_list(text: str) -> tuple[int, ...]:
@@ -109,15 +105,14 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_enumerate(args) -> int:
+    from .enumeration import count_orders, enumerate_orders
+    if args.coherent_only:
+        from .coherence import is_coherent
     n = args.n
     mode = "all" if args.all_labelings else "canonical"
     if args.count_only:
         if args.coherent_only:
-            classes = sum(
-                1
-                for o in enumerate_orders(n, mode="canonical")
-                if coherence.is_coherent(o)
-            )
+            classes = sum(map(is_coherent, enumerate_orders(n, mode="canonical")))
             total = classes * math.factorial(n)
         else:
             result = count_orders(n)
@@ -126,8 +121,9 @@ def _cmd_enumerate(args) -> int:
         return 0
     orders = enumerate_orders(n, mode=mode)
     if args.coherent_only:
-        orders = (o for o in orders if coherence.is_coherent(o))
+        orders = (o for o in orders if is_coherent(o))
     if args.out:
+        import hashlib
         out = Path(args.out)
         try:
             out.mkdir(parents=True, exist_ok=True)
@@ -141,12 +137,10 @@ def _cmd_enumerate(args) -> int:
             count += 1
         print(f"wrote {count} orders to {args.out}")
         return 0
-    first = True
-    for order in orders:
-        if not first:
+    for i, order in enumerate(orders):
+        if i:
             print()
         sys.stdout.write(serialize_order(order))
-        first = False
     return 0
 
 
@@ -155,17 +149,21 @@ def _weight_str(weights) -> str:
 
 
 def _cmd_coherence(args) -> int:
+    from . import coherence
     order = _load_order(args.file)
     weights = coherence.find_weight(order)
     if weights is not None:
         print(f"coherent w={_weight_str(weights)}")
         return 0
     print("incoherent")
-    _print_certificate(coherence.noncoherence_certificate(order))
+    cert = coherence.noncoherence_certificate(order)
+    for pair, mult in zip(cert.pairs, cert.multiplicities):
+        print(f"pair: {pair} x{mult}")
     return 1
 
 
 def _cmd_realize(args) -> int:
+    from . import coherence
     weights = _weight_list(args.w)
     if any(v <= 0 for v in weights):
         raise UsageError("weights must be positive")
@@ -181,6 +179,7 @@ def _cmd_realize(args) -> int:
 
 
 def _cmd_flips(args) -> int:
+    from . import flips
     order = _load_order(args.file)
     flippable = set(flips.flippable_pairs(order))
     primitive = flips.primitive_pairs(order)
@@ -192,6 +191,7 @@ def _cmd_flips(args) -> int:
 
 
 def _cmd_flip(args) -> int:
+    from . import flips
     order = _load_order(args.file)
     pair = _parse_pair(args.pair, order.n)
     try:
@@ -204,6 +204,7 @@ def _cmd_flip(args) -> int:
 
 
 def _cmd_flipgraph(args) -> int:
+    from . import flips
     mode = "labeled" if args.all_labelings else "canonical"
     graph = flips.flip_graph(args.n, mode=mode)
     edges = sum(len(adj) for adj in graph.adjacency) // 2
@@ -219,12 +220,14 @@ def _cmd_flipgraph(args) -> int:
 
 
 def _cmd_charpoly(args) -> int:
+    from . import arrangement
     poly = arrangement.char_poly(args.n)
     print(f"{poly} = {poly.factored_str()}")
     return 0
 
 
 def _cmd_regions(args) -> int:
+    from . import arrangement
     print(f"regions={arrangement.region_count(args.n)}")
     return 0
 
@@ -234,6 +237,7 @@ def _sign_string(vec) -> str:
 
 
 def _cmd_localize(args) -> int:
+    from . import omatroid
     order = _load_levels(args.file)
     mu = omatroid.mu_from_order(order)
     if not args.check:
@@ -261,6 +265,7 @@ def _cmd_localize(args) -> int:
 
 
 def _cmd_baues(args) -> int:
+    from . import baues, coherence
     if args.coherent_above:
         order = _load_order(args.file)
         only_trivial = baues.coherent_above_only_trivial(order)
@@ -277,6 +282,7 @@ def _cmd_baues(args) -> int:
 
 
 def _cmd_certify(args) -> int:
+    from . import coherence
     order = _load_order(args.file)
     cert = _parse_certificate(_read(args.cert), order.n)
     check = coherence.verify_certificate(order, cert)

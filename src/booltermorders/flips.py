@@ -140,7 +140,8 @@ def flip_graph(n: int, mode: str = "canonical") -> FlipGraph:
 
     ``mode="canonical"`` takes one vertex per relabeling class and tests
     edges through canonical forms of flip neighbors; ``mode="labeled"``
-    keeps every labeling.
+    keeps every labeling, so it stops at n = 5 (n = 6 has 121,999,680
+    labeled orders, all held before the first edge).
     """
     from .enumeration import enumerate_orders
 
@@ -148,6 +149,8 @@ def flip_graph(n: int, mode: str = "canonical") -> FlipGraph:
         raise ValueError(f"unknown mode {mode!r}")
     if not 1 <= n <= 6:
         raise ValueError(f"n must be in 1..6, got {n}")
+    if mode == "labeled" and n > 5:
+        raise ValueError(f"labeled mode needs n <= 5, got {n}")
     emit = "canonical" if mode == "canonical" else "all"
     vertices = list(enumerate_orders(n, mode=emit))
     index = {o.rank: i for i, o in enumerate(vertices)}

@@ -206,7 +206,6 @@ def test_chi_6_factors_and_counts_regions():
     assert abs(poly(-1)) == (1 << 6) * math.factorial(6) * COHERENT_CLASSES_6
 
 
-@extended
 def test_char_poly_6():
     assert char_poly(6).coefficients == CHI_6
 
@@ -217,6 +216,16 @@ def test_char_poly_rejects_n_out_of_range():
             char_poly(n)
         with pytest.raises(ValueError):
             region_count(n)
+
+
+def test_normals_and_discriminantal_check_reject_n_out_of_range():
+    # refused before any work: normals(16) would build 21.5 million tuples, and
+    # verify_discriminantal(10) would walk C(100, 9) root subsets
+    for n in (-1, 0, MAX_CHARPOLY + 1, 10, 16):
+        with pytest.raises(ValueError, match=f"1..{MAX_CHARPOLY}, got {n}"):
+            normals(n)
+        with pytest.raises(ValueError, match=f"1..{MAX_CHARPOLY}, got {n}"):
+            verify_discriminantal(n)
 
 
 def test_root_system_order():

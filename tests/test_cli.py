@@ -152,6 +152,18 @@ def test_flipgraph_connected(capsys):
     assert out.startswith("vertices=14 ")
 
 
+def test_flipgraph_all_labelings_refuses_n6(capsys, monkeypatch):
+    from booltermorders import enumeration
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("enumerate_orders reached")
+
+    monkeypatch.setattr(enumeration, "enumerate_orders", unreachable)
+    code, out, err = run(capsys, "flipgraph", "--n", "6", "--all-labelings")
+    assert code == 2 and out == ""
+    assert err == "error: labeled mode needs n <= 5, got 6\n"
+
+
 def test_certify_valid(capsys, example_file, tmp_path):
     cert = tmp_path / "cert.bto"
     cert.write_text(

@@ -2,7 +2,7 @@ import itertools
 
 import pytest
 
-from booltermorders import core
+from booltermorders import core, enumeration
 from booltermorders.catalog import (
     coherence_isolated_six,
     five_facet_four,
@@ -208,6 +208,18 @@ def test_flip_graph_labeled_consistent():
     g = flip_graph(3, mode="labeled")
     assert len(g.vertices) == 12
     assert g.is_connected()
+
+
+def test_flip_graph_labeled_refuses_n6_before_enumerating(monkeypatch):
+    # n = 6 has 121,999,680 labeled orders; none may be listed
+    def unreachable(*args, **kwargs):
+        raise AssertionError("enumerate_orders reached")
+
+    monkeypatch.setattr(enumeration, "enumerate_orders", unreachable)
+    with pytest.raises(ValueError, match="labeled mode needs n <= 5, got 6"):
+        flip_graph(6, mode="labeled")
+    with pytest.raises(AssertionError, match="reached"):
+        flip_graph(2, mode="labeled")
 
 
 @pytest.mark.parametrize("n, edges", [(1, 0), (2, 0), (3, 1), (4, 21), (5, 1457)])
