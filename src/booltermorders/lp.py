@@ -4,10 +4,11 @@ The tableau holds Python integers over one common positive denominator d
 and pivots by Edmonds' integer-preserving step (Bareiss), so no floating
 point and no :class:`fractions.Fraction` enters the one kernel
 (:func:`_simplex` over :func:`_pivot`), which returns integer numerators
-over d.  The coherence module reads weights and certificates off them
-through :func:`_lex_min` and :func:`_solve_eq`; the public solvers are
-thin wrappers that return exact Fractions.  Problems here are tiny (tens
-of rows and columns), so a dense tableau is plenty.  :func:`lex_min_ge`
+over d (a pivot on 1 over d = 1 needs no multiply by p and no
+division).  The coherence module reads weights and certificates off
+those numerators through :func:`_lex_min` and :func:`_solve_eq`; the
+public solvers are thin wrappers that return exact Fractions.  Problems
+here are tiny (tens of rows and columns), so a dense tableau is plenty.  :func:`lex_min_ge`
 (the lexicographic minimum of ``A x >= b``, or None when infeasible) needs
 every unit row in A; it starts from their dual columns and enters the
 most negative reduced cost.  :func:`farkas_ge` (a certificate of
@@ -21,7 +22,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from operator import index
+from operator import add, index, sub
 from typing import Sequence
 
 
@@ -32,6 +33,8 @@ def _pivot(tab, basis, d, row, col):
     denominator is |p|, the pivot row keeps its entries (negated when p < 0)
     and every other row r becomes (|p| r - r[col] * pivot row) / d, a
     division that is exact for an integer constraint matrix (Bareiss).
+    At |p| = d = 1 (most pivots of the coherence programs) r becomes
+    r - r[col] * pivot row, by C-level ``map`` when r[col] is 1 or -1.
     Rows past ``len(basis)``, the reduced-cost row, are pivoted alike.
     """
     prow = tab[row]
@@ -39,13 +42,21 @@ def _pivot(tab, basis, d, row, col):
     if p < 0:
         p = -p
         prow = tab[row] = [-v for v in prow]
+    unit = p == d == 1
     for r, line in enumerate(tab):
         if r != row:
             f = line[col]
-            if f:
+            if not f:
+                if p != d:
+                    tab[r] = [p * v // d for v in line]
+            elif not unit:
                 tab[r] = [(p * v - f * q) // d for v, q in zip(line, prow)]
-            elif p != d:
-                tab[r] = [p * v // d for v in line]
+            elif f == 1:
+                tab[r] = list(map(sub, line, prow))
+            elif f == -1:
+                tab[r] = list(map(add, line, prow))
+            else:
+                tab[r] = [v - f * q for v, q in zip(line, prow)]
     basis[row] = col
     return p
 
@@ -67,7 +78,11 @@ def _simplex(tab, basis, d, cost, k, dantzig=False):
     red = [d * v for v in cost] + [0] * k
     for r in range(m):
         cb = cost[basis[r]]
-        if cb:
+        if cb == 1:
+            red = list(map(sub, red, tab[r]))
+        elif cb == -1:
+            red = list(map(add, red, tab[r]))
+        elif cb:
             red = [v - cb * a for v, a in zip(red, tab[r])]
     tab.append(red)
     try:

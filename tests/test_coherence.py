@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 import re
@@ -86,12 +87,45 @@ def test_distinct_comparisons_match_full_rows(canonical_orders):
             assert_matches_full_rows(PartialTermOrder.from_weight(weights))
 
 
+def _answer_bytes(order, weight):
+    """The weight, or for a noncoherent total order the certificate's pairs and
+    multiplicities, as bytes for a digest."""
+    if weight is not None:
+        return repr(weight).encode()
+    cert = noncoherence_certificate(order)
+    return repr(([(p.left, p.right) for p in cert.pairs], cert.multiplicities)).encode()
+
+
+# sha256 over _answer_bytes of every canonical class in search order, each
+# answer followed by a newline; a kernel change that moves any lex-min
+# weight or any certificate changes it
+WEIGHTS_AND_CERTIFICATES_SHA256 = {
+    5: "0fc8b855dd69913246f0dbf6f5612f440ba1607bbc18615c9539d10c0a17e54c",
+    6: "142f28c23f488ad3d006bf4c6f58992dde03fe9ec1eab4845653c92a1d8aa253",  # first 5000 n=6
+}
+
+
+def test_every_n5_weight_and_certificate_is_pinned(canonical_orders):
+    digest = hashlib.sha256()
+    noncoherent = 0
+    for order in canonical_orders[5]:
+        weight = find_weight(order)
+        noncoherent += weight is None
+        digest.update(_answer_bytes(order, weight) + b"\n")
+    assert (len(canonical_orders[5]), noncoherent) == (546, 30)
+    assert digest.hexdigest() == WEIGHTS_AND_CERTIFICATES_SHA256[5]
+
+
 def _n6_weights_match_full_rows(count):
-    """find_weight on the first n=6 classes: the lex-min by pins, None iff noncoherent."""
+    """find_weight on the first n=6 classes: the lex-min by pins, None iff
+    noncoherent; returns the sha256 of their answers (:func:`_answer_bytes`)."""
+    digest = hashlib.sha256()
     for order in itertools.islice(enumerate_orders(6, mode="canonical"), count):
         weight = find_weight(order)
         assert weight == lex_min_weight_full_rows(order)
         assert (weight is None) == (not is_coherent(order))
+        digest.update(_answer_bytes(order, weight) + b"\n")
+    return digest.hexdigest()
 
 
 def test_find_weight_matches_full_rows_n6():
@@ -100,7 +134,7 @@ def test_find_weight_matches_full_rows_n6():
 
 @extended
 def test_find_weight_matches_full_rows_n6_extended():
-    _n6_weights_match_full_rows(5000)
+    assert _n6_weights_match_full_rows(5000) == WEIGHTS_AND_CERTIFICATES_SHA256[6]
 
 
 def test_order_from_weight_basic():

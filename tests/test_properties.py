@@ -76,6 +76,7 @@ from oracles import (
     extreme_rays_by_null_vectors,
     first_violation_list_scan,
     rank2_extension_patterns,
+    _fraction_pivot,
     fraction_solve_eq,
     is_union_violation,
     is_valid_all_gammas,
@@ -169,6 +170,42 @@ def test_farkas_matches_fraction_oracle(canonical_orders, coherence_flags):
             expected = sorted((l, r, m) for (l, r, _), m in zip(_comparisons(order), mults) if m)
             cert = noncoherence_certificate(order)
             assert [(p.left, p.right, m) for p, m in zip(cert.pairs, cert.multiplicities)] == expected
+
+
+@st.composite
+def pivot_runs(draw):
+    """A small integer tableau over d = 1, m basis rows and one row past them
+    (as the reduced-cost row), with one to three pivot positions (row, col)."""
+    m = draw(st.integers(1, 4))
+    w = draw(st.integers(1, 5))
+    tab = draw(st.lists(st.lists(st.integers(-3, 3), min_size=w, max_size=w),
+                        min_size=m + 1, max_size=m + 1))
+    pivots = draw(st.lists(st.tuples(st.integers(0, m - 1), st.integers(0, w - 1)),
+                           min_size=1, max_size=3))
+    return tab, pivots
+
+
+@given(pivot_runs())
+@example(([[1, 0, 2], [1, 1, 0], [-1, 2, 1], [0, 3, 1]], [(0, 0)]))  # p = d = 1, f = 1 and -1
+@example(([[1, 1, 2], [2, 3, 0], [-3, 1, 1]], [(0, 0)]))  # p = d = 1, f = 2 and -3
+@example(([[2, 1, 0], [1, 3, 1], [0, 1, 2]], [(0, 0), (1, 1)]))  # p != d, then d = 2
+@example(([[-1, 2, 1], [3, 1, 0], [1, -1, 2]], [(0, 0), (1, 1)]))  # negative unit pivot
+@example(([[-2, 1], [1, 1], [1, 0]], [(0, 0), (0, 1)]))  # negative pivot, then one in its row
+def test_pivot_matches_fraction_pivot(run):
+    # one Bareiss step against one Fraction Gauss-Jordan step, entry by entry
+    tab, pivots = run
+    tab = [list(line) for line in tab]  # the kernel pivots in place
+    m = len(tab) - 1
+    ftab = [[Fraction(v) for v in line] for line in tab]
+    basis, fbasis = list(range(m)), list(range(m))
+    d = 1
+    for row, col in pivots:
+        assume(tab[row][col] != 0)
+        d = lp._pivot(tab, basis, d, row, col)
+        _fraction_pivot(ftab, fbasis, row, col)
+        assert d > 0
+        assert basis == fbasis
+        assert [[Fraction(v, d) for v in line] for line in tab] == ftab
 
 
 @st.composite
