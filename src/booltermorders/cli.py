@@ -133,7 +133,11 @@ def _cmd_enumerate(args) -> int:
         for order in orders:
             text = serialize_order(order)
             name = hashlib.sha256(text.encode()).hexdigest()[:16]
-            (out / f"{name}.bto").write_text(text)
+            path = out / f"{name}.bto"
+            try:
+                path.write_text(text)
+            except OSError as exc:
+                raise UsageError(f"cannot write {path}: {exc.strerror}") from None
             count += 1
         print(f"wrote {count} orders to {args.out}")
         return 0

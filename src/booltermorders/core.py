@@ -105,10 +105,10 @@ def parse_subset(text: str, n: int, line: int | None = None) -> int:
             e = int(part)
         except ValueError:
             raise ParseError(f"bad subset element {part!r}", line) from None
-        if e <= prev:
-            raise ParseError(f"elements must be strictly increasing in {text!r}", line)
         if not 1 <= e <= n:
             raise ParseError(f"element {e} out of range 1..{n}", line)
+        if e <= prev:
+            raise ParseError(f"elements must be strictly increasing in {text!r}", line)
         mask |= 1 << (e - 1)
         prev = e
     return mask

@@ -5,22 +5,21 @@ and pivots by Edmonds' integer-preserving step (Bareiss), so no floating
 point and no :class:`fractions.Fraction` enters the one kernel
 (:func:`_simplex` over :func:`_pivot`), which returns integer numerators
 over d (a pivot on 1 over d = 1 needs no multiply by p and no
-division).  The coherence module reads weights and certificates off
-those numerators through :func:`_lex_min` and :func:`_solve_eq`; the
-public solvers are thin wrappers that return exact Fractions.  Problems
-here are tiny (tens of rows and columns), so a dense tableau is plenty.  :func:`lex_min_ge`
-(the lexicographic minimum of ``A x >= b``, or None when infeasible) needs
-every unit row in A; it starts from their dual columns and enters the
-most negative reduced cost.  :func:`farkas_ge` (a certificate of
-infeasibility) calls :func:`solve_eq`, which starts from artificial
-columns (two phases) and enters by Bland's rule.  No library code calls
-the primal encoders :func:`minimize_ge` and :func:`feasible_ge`; the
-benchmark and the tests call them (ROADMAP.md plans their removal).
+division).  Problems here are tiny (tens of rows and columns), so a dense
+tableau is plenty.  The coherence module calls the kernel's two entry
+points: :func:`_lex_min` (the weight solve), the lexicographic minimum of
+``A x >= b`` where A holds every unit row, starts from their dual columns
+and enters the most negative reduced cost; :func:`_solve_eq` (the Farkas
+dual of a certificate), min c.x subject to ``A x = b``, x >= 0, starts
+from artificial columns (two phases) and enters by Bland's rule.
+:func:`farkas_ge` and :func:`minimize_ge` (and its cost-0 case
+:func:`feasible_ge`) take integer A, b and c, call :func:`_solve_eq` and
+return Fractions.  No library code calls them; they stay only because
+the benchmark's tracer hooks them by name (ROADMAP.md item 1).
 """
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 from operator import add, index, sub
 from typing import Sequence
@@ -114,7 +113,7 @@ def _simplex(tab, basis, d, cost, k, dantzig=False):
 
 
 def _solve_eq(rows, c, d=1):
-    """:func:`solve_eq` on integer ``rows`` [A_i | b_i] over d > 0 and an integer cost c:
+    """min c.x, A x = b, x >= 0, on integer ``rows`` [A_i | b_i] over d > 0 and an integer cost c:
     (status, d, x, objective), x and the objective numerators over d, or None."""
     m = len(rows)
     n = len(c)
@@ -145,21 +144,6 @@ def _solve_eq(rows, c, d=1):
     return "optimal", d, x, obj[0]
 
 
-def solve_eq(A: Sequence[Sequence[int]], b: Sequence[Fraction], c: Sequence[Fraction]):
-    """min c.x subject to A x = b, x >= 0, for integer A.
-
-    Returns (status, x, objective) with status one of "optimal",
-    "infeasible", "unbounded"; x and the objective are Fractions.
-    """
-    d = math.lcm(*[v.denominator for v in b])
-    scale = math.lcm(*[v.denominator for v in c])  # scaling c changes no pivot
-    rows = [[d * index(v) for v in a] + [int(d * beta)] for a, beta in zip(A, b)]
-    status, d, x, obj = _solve_eq(rows, [int(v * scale) for v in c], d)
-    if x is None:
-        return status, None, None
-    return status, [Fraction(v, d) for v in x], Fraction(obj, d * scale)
-
-
 def feasible_ge(A: Sequence[Sequence[int]], b: Sequence[int]):
     """A point x with A x >= b (:func:`minimize_ge`'s, for cost 0), or None."""
     n = len(A[0]) if A else 0
@@ -174,60 +158,31 @@ def farkas_ge(A: Sequence[Sequence[int]], b: Sequence[int]):
     kernel solve with zero cost: the columns of A, then b, are the rows.
     """
     n = len(A[0]) if A else 0
-    columns = [[a[j] for a in A] for j in range(n)] + [list(b)]
-    status, lam, _ = solve_eq(columns, [0] * n + [1], [0] * len(A))
-    return lam if status == "optimal" else None
+    rows = [[index(a[j]) for a in A] + [0] for j in range(n)] + [[*map(index, b), 1]]
+    _, d, lam, _ = _solve_eq(rows, [0] * len(A))
+    return None if lam is None else [Fraction(v, d) for v in lam]
 
 
-def minimize_ge(
-    A: Sequence[Sequence[int]],
-    b: Sequence[int],
-    c: Sequence[int],
-):
-    """min c.x subject to A x >= b, x free.
-
-    Returns (status, x, objective).
-    """
+def minimize_ge(A: Sequence[Sequence[int]], b: Sequence[int], c: Sequence[int]):
+    """min c.x subject to A x >= b, x free, as x+ - x- with a surplus column per
+    row: (status, x, objective)."""
     m = len(A)
     n = len(c)
+    c = list(map(index, c))
     rows = []
-    for i in range(m):
-        a = list(A[i])
-        slack = [0] * m
-        slack[i] = -1
-        rows.append(a + [-v for v in a] + slack)
-    cost = list(c) + [-v for v in c] + [0] * m
-    status, x, obj = solve_eq(rows, b, cost)
-    if status != "optimal":
+    for i, (a, beta) in enumerate(zip(A, b)):
+        a = list(map(index, a))
+        rows.append(a + [-v for v in a] + [-int(k == i) for k in range(m)] + [index(beta)])
+    status, d, x, obj = _solve_eq(rows, c + [-v for v in c] + [0] * m)
+    if x is None:
         return status, None, None
-    return status, [x[i] - x[n + i] for i in range(n)], obj
+    return status, [Fraction(x[i] - x[n + i], d) for i in range(n)], Fraction(obj, d)
 
 
 def _lex_min(columns, basis, b):
-    """:func:`lex_min_ge` on integers: the n columns of A, the index of each
+    """The lexicographic minimum of A x >= b on integers: the n columns of A, the index of each
     unit row e_j in A, and integer b; (d, the minimum's numerators over d) or None."""
     n = len(columns)
     tab = [column + [int(i == j) for i in range(n)] for j, column in enumerate(columns)]
     d, obj = _simplex(tab, basis, 1, [-v for v in b], n, dantzig=True)
     return None if obj is None else (d, [-v for v in obj])
-
-
-def lex_min_ge(A: Sequence[Sequence[int]], b: Sequence[int], n: int):
-    """The lexicographic minimum of {x : A x >= b} over n unknowns, or None.
-
-    One dual solve (Dantzig, Orden and Wolfe 1955): the optimum of max b.y
-    over y.A = e_1 + eps e_2 + ... + eps^(n-1) e_n, y >= 0 has the
-    eps-coefficients x_1 ... x_n.  A must hold every unit row e_i
-    (ValueError otherwise): x is then bounded below, so None means
-    infeasible; the first copies are a feasible dual basis (no phase 1),
-    and no pivot is degenerate: each right-hand-side row is an
-    inverse-basis row.
-    """
-    rows = list(map(list, A))
-    try:
-        basis = [rows.index([int(i == j) for i in range(n)]) for j in range(n)]
-    except ValueError:
-        raise ValueError(f"A must hold every unit row e_1 ... e_{n}") from None
-    columns = [[index(a[j]) for a in A] for j in range(n)]
-    solution = _lex_min(columns, basis, list(map(index, b)))
-    return None if solution is None else [Fraction(v, solution[0]) for v in solution[1]]

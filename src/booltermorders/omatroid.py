@@ -47,7 +47,7 @@ def from_parts(pos: int, neg: int, n: int) -> SignVector:
 
 
 class Signature:
-    """An antisymmetric signing of all nonzero sign vectors."""
+    """An antisymmetric signing of all nonzero sign vectors by -1, 0 and 1."""
 
     def __init__(self, n: int, values: Mapping[SignVector, int]):
         if not 0 <= n <= MAX_SIGNATURE:  # before 3^n - 1 sign vectors are built
@@ -61,6 +61,8 @@ class Signature:
                 full[x] = -values[negate(x)]
             else:
                 raise ValueError(f"signature missing value for {x}")
+            if full[x] not in (-1, 0, 1):
+                raise ValueError(f"signature value {full[x]!r} at {x} is not -1, 0 or 1")
         for x, v in full.items():
             if full[negate(x)] != -v:
                 raise ValueError(f"signature not antisymmetric at {x}")

@@ -2,6 +2,8 @@
 
 Each one computes what a library function computes by an independent and
 much more expensive route, so the tests can compare the two on small cases.
+:func:`solve_eq` and :func:`lex_min_ge` are Fraction front ends of the LP
+kernel's integer entry points, for the tests and the oracles here.
 """
 
 from __future__ import annotations
@@ -9,6 +11,7 @@ from __future__ import annotations
 import itertools
 import math
 from fractions import Fraction
+from operator import index
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -752,7 +755,7 @@ def _fraction_simplex(tab, basis, cost):
 
 
 def fraction_solve_eq(A, b, c):
-    """Reference for ``lp.solve_eq``: the same two-phase simplex over Fraction.
+    """Reference for :func:`solve_eq`: the same two-phase simplex over Fraction.
 
     Same tableau, Bland's rule and phase-1 drive-out, with every entry a
     Fraction divided through at each pivot, so the two must take the same
@@ -791,6 +794,42 @@ def fraction_solve_eq(A, b, c):
     for r, j in enumerate(basis):
         x[j] = tab[r][-1]
     return "optimal", x, obj
+
+
+def solve_eq(A: Sequence[Sequence[int]], b: Sequence[Fraction], c: Sequence[Fraction]):
+    """min c.x subject to A x = b, x >= 0, for integer A.
+
+    Returns (status, x, objective) with status one of "optimal",
+    "infeasible", "unbounded"; x and the objective are Fractions.
+    """
+    d = math.lcm(*[v.denominator for v in b])
+    scale = math.lcm(*[v.denominator for v in c])  # scaling c changes no pivot
+    rows = [[d * index(v) for v in a] + [int(d * beta)] for a, beta in zip(A, b)]
+    status, d, x, obj = lp._solve_eq(rows, [int(v * scale) for v in c], d)
+    if x is None:
+        return status, None, None
+    return status, [Fraction(v, d) for v in x], Fraction(obj, d * scale)
+
+
+def lex_min_ge(A: Sequence[Sequence[int]], b: Sequence[int], n: int):
+    """The lexicographic minimum of {x : A x >= b} over n unknowns, or None.
+
+    One dual solve (Dantzig, Orden and Wolfe 1955): the optimum of max b.y
+    over y.A = e_1 + eps e_2 + ... + eps^(n-1) e_n, y >= 0 has the
+    eps-coefficients x_1 ... x_n.  A must hold every unit row e_i
+    (ValueError otherwise): x is then bounded below, so None means
+    infeasible; the first copies are a feasible dual basis (no phase 1),
+    and no pivot is degenerate: each right-hand-side row is an
+    inverse-basis row.
+    """
+    rows = list(map(list, A))
+    try:
+        basis = [rows.index([int(i == j) for i in range(n)]) for j in range(n)]
+    except ValueError:
+        raise ValueError(f"A must hold every unit row e_1 ... e_{n}") from None
+    columns = [[index(a[j]) for a in A] for j in range(n)]
+    solution = lp._lex_min(columns, basis, list(map(index, b)))
+    return None if solution is None else [Fraction(v, solution[0]) for v in solution[1]]
 
 
 # ---------------------------------------------------------------------------
@@ -874,12 +913,12 @@ def _to_integer_weights(w: list[Fraction]) -> tuple[int, ...]:
 
 
 def lex_min_by_pins(A, b, n: int):
-    """Reference for ``lp.lex_min_ge``: 1 + n solves instead of one.
+    """Reference for :func:`lex_min_ge`: 1 + n solves instead of one.
 
     Feasibility of A x >= b is decided by the Farkas dual.  By strong
     duality each coordinate's minimum, with the earlier ones pinned, is the
     optimum of the dual max rhs.y over y.rows = e_i, y >= 0 (n rows),
-    solved by ``lp.solve_eq`` as min -rhs.y; a pin x_i = opt is a pair of
+    solved by :func:`solve_eq` as min -rhs.y; a pin x_i = opt is a pair of
     opposite rows, that is a free dual column.  The minimum is the vector
     of these optima; a coordinate that is unbounded below (an infeasible
     dual) gives None.
@@ -889,7 +928,7 @@ def lex_min_by_pins(A, b, n: int):
     rows, rhs, x = list(A), list(b), []
     for i in range(n):
         unit = [int(i == j) for j in range(n)]
-        status, _, obj = lp.solve_eq(transposed(rows, n), unit, [-v for v in rhs])
+        status, _, obj = solve_eq(transposed(rows, n), unit, [-v for v in rhs])
         if status != "optimal":
             return None
         opt = -obj
@@ -948,7 +987,7 @@ def cone_is_zero_full_rows(rows: list[list[int]], n: int) -> bool:
     if _rank_det(rows)[0] < n:
         return False
     target = [-sum(row[i] for row in rows) for i in range(n)]
-    status, _, _ = lp.solve_eq(transposed(rows, n), target, [0] * len(rows))
+    status, _, _ = solve_eq(transposed(rows, n), target, [0] * len(rows))
     return status == "optimal"
 
 

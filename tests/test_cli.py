@@ -39,6 +39,22 @@ def test_enumerate_out_dir(capsys, tmp_path):
         parse_order(f.read_text())
 
 
+def test_enumerate_out_reports_an_unwritable_file(capsys, tmp_path):
+    # a directory in the place of an order file: one error line and exit 2,
+    # as for a directory that cannot be made
+    code, _, _ = run(capsys, "enumerate", "--n", "2", "--out", str(tmp_path / "ok"))
+    assert code == 0
+    (name,) = [f.name for f in (tmp_path / "ok").iterdir()]
+    (tmp_path / "blocked" / name).mkdir(parents=True)
+    code, out, err = run(capsys, "enumerate", "--n", "2", "--out", str(tmp_path / "blocked"))
+    assert (code, out) == (2, "")
+    assert err == f"error: cannot write {tmp_path / 'blocked' / name}: Is a directory\n"
+    (tmp_path / "file").write_text("")
+    code, out, err = run(capsys, "enumerate", "--n", "2", "--out", str(tmp_path / "file"))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: cannot create {tmp_path / 'file'}: ")
+
+
 def test_closed_stdout_exits_2_without_traceback():
     # the reader takes one line and leaves; the writer gets a broken pipe
     with subprocess.Popen(

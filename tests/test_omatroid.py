@@ -49,6 +49,19 @@ def test_signature_antisymmetry_enforced():
         Signature(2, values)
 
 
+def test_signature_values_are_signs():
+    # an all-2 signing used to pass check_mu_conditions and break check_localization
+    canonical = [x for x in sign_vectors(2) if x > negate(x)]
+    with pytest.raises(ValueError, match=r"signature value 2 at \(1, 1\) is not -1, 0 or 1"):
+        Signature(2, {x: 2 for x in canonical})
+    # a value given on the negative is negated before it is named
+    with pytest.raises(ValueError, match=r"value -3 at \(0, 1\)"):
+        Signature(2, {x: 1 for x in canonical if x != signs("0+")} | {signs("0-"): 3})
+    # bools and the ints -1, 0, 1 are signs
+    assert Signature(2, {x: True for x in canonical}) == Signature(2, {x: 1 for x in canonical})
+    assert Signature(2, {x: False for x in canonical}) == Signature(2, {x: 0 for x in canonical})
+
+
 def test_signature_requires_every_value():
     # a vector counts as given when it or its negative is, so drop both
     values = {x: 0 for x in sign_vectors(2) if x not in (signs("+-"), signs("-+"))}

@@ -81,6 +81,7 @@ from oracles import (
     is_union_violation,
     is_valid_all_gammas,
     lex_min_by_pins,
+    lex_min_ge,
     rank_by_rref,
     read_levels_scan,
     refines_pairs,
@@ -89,6 +90,7 @@ from oracles import (
     serialize_partial_levels,
     signature_from_positives,
     singleton_axioms_two_lists,
+    solve_eq,
     _to_integer_weights,
     transposed,
     union_violation_list_scan,
@@ -133,19 +135,19 @@ def equality_programs(draw):
 ))
 def test_solve_eq_matches_fraction_oracle(program):
     A, b, c = program
-    status, x, obj = lp.solve_eq(A, b, c)
+    status, x, obj = solve_eq(A, b, c)
     assert (status, x, obj) == fraction_solve_eq(A, b, c)
     if status == "optimal":
         assert all(type(v) is Fraction for v in x + [obj])
 
 
-def farkas_by_fraction_oracle(A, b):
-    """``lp.farkas_ge`` through the same dual program, solved by the oracle:
-    lam >= 0 with lam.[A | b] = (0, ..., 0, 1), whose equality rows are the
-    columns of [A | b]."""
+def farkas_by_fraction_oracle(A, b, solve=fraction_solve_eq):
+    """``lp.farkas_ge`` through the same dual program, solved by the oracle
+    (or by ``solve``): lam >= 0 with lam.[A | b] = (0, ..., 0, 1), whose
+    equality rows are the columns of [A | b]."""
     n = len(A[0]) if A else 0
     extended = [list(a) + [beta] for a, beta in zip(A, b)]
-    status, lam, _ = fraction_solve_eq(transposed(extended, n + 1), [0] * n + [1], [0] * len(A))
+    status, lam, _ = solve(transposed(extended, n + 1), [0] * n + [1], [0] * len(A))
     return lam if status == "optimal" else None
 
 
@@ -212,7 +214,7 @@ def test_pivot_matches_fraction_pivot(run):
 def ge_systems(draw):
     """A x >= b over n unknowns with small integer entries, n and m from 0.
 
-    Every unit row e_i, which ``lp.lex_min_ge`` requires, is inserted at a
+    Every unit row e_i, which ``lex_min_ge`` requires, is inserted at a
     random position with a right-hand side in -2..2, sometimes twice; so x
     is bounded below, and a system has a lexicographic minimum exactly
     when it is feasible.
@@ -241,7 +243,7 @@ def ge_systems(draw):
 def test_lex_min_ge_matches_pin_oracle(system):
     # one lexicographic dual solve against 1 + n solves with pinned coordinates
     A, b, n = system
-    x = lp.lex_min_ge(A, b, n)
+    x = lex_min_ge(A, b, n)
     assert x == lex_min_by_pins(A, b, n)
     assert (x is None) == (lp.farkas_ge(A, b) is not None)
     if x is not None:
@@ -261,7 +263,7 @@ def test_integer_read_off_matches_the_fraction_route(system):
     A, b, n = system
     basis = [A.index([int(i == j) for i in range(n)]) for j in range(n)]
     solution = lp._lex_min(transposed(A, n), basis, b)
-    x = lp.lex_min_ge(A, b, n)
+    x = lex_min_ge(A, b, n)
     assert (solution is None) == (x is None)
     if x is not None:
         assert _coprime(solution[1]) == _to_integer_weights(x)
@@ -310,8 +312,69 @@ def test_repeated_rows_change_no_pivot(case):
 
     assert spread(lp.farkas_ge(A, b)) == lp.farkas_ge(A2, b2)
     # the dual of min c.x over A x >= b: min -b.y over y.A = c, y >= 0
-    status, y, obj = lp.solve_eq(transposed(A, len(c)), c, [-v for v in b])
-    assert (status, spread(y), obj) == lp.solve_eq(transposed(A2, len(c)), c, [-v for v in b2])
+    status, y, obj = solve_eq(transposed(A, len(c)), c, [-v for v in b])
+    assert (status, spread(y), obj) == solve_eq(transposed(A2, len(c)), c, [-v for v in b2])
+
+
+@st.composite
+def ge_programs(draw):
+    """A x >= b and an integer cost c: a ``programs_with_copies`` program, or a
+    ``ge_systems`` system (every unit row, n from 0) with a drawn cost."""
+    if draw(st.booleans()):
+        return draw(programs_with_copies())[:3]
+    A, b, n = draw(ge_systems())
+    return A, b, draw(st.lists(st.integers(-2, 2), min_size=n, max_size=n))
+
+
+def minimize_by_solve_eq(A, b, c):
+    """``lp.minimize_ge`` by the Fraction front end: x = x+ - x- with one
+    surplus column per row."""
+    m, n = len(A), len(c)
+    rows = [list(a) + [-v for v in a] + [-int(k == i) for k in range(m)] for i, a in enumerate(A)]
+    status, x, obj = solve_eq(rows, b, list(c) + [-v for v in c] + [0] * m)
+    if status != "optimal":
+        return status, None, None
+    return status, [x[i] - x[n + i] for i in range(n)], obj
+
+
+@given(ge_programs())
+@example(([], [], []))  # nothing to solve
+@example(([[1], [-1]], [1, 0], [1]))  # infeasible: a certificate, no point
+@example(([[1, -1]], [0], [-1, 0]))  # unbounded
+@example(([[2, 1], [1, 2], [1, 0], [0, 1]], [2, 2, 0, 0], [1, 1]))  # optimum (2/3, 2/3)
+def test_ge_wrappers_match_the_solve_eq_route(program):
+    # the wrappers build the kernel's integer tableau themselves; they answer
+    # as the Fraction front end they reached the kernel through before
+    A, b, c = program
+    lam = lp.farkas_ge(A, b)
+    assert lam == farkas_by_fraction_oracle(A, b, solve=solve_eq)
+    status, x, obj = lp.minimize_ge(A, b, c)
+    assert (status, x, obj) == minimize_by_solve_eq(A, b, c)
+    n = len(A[0]) if A else 0
+    assert lp.feasible_ge(A, b) == minimize_by_solve_eq(A, b, [0] * n)[1]
+    if lam is not None:
+        assert all(type(v) is Fraction for v in lam)
+    if x is not None:
+        assert all(type(v) is Fraction for v in x + [obj])
+
+
+@pytest.mark.parametrize(
+    "solve, args",
+    [
+        (lp.farkas_ge, ([[1, 0], [0, 1]], [Fraction(1, 2), 1])),
+        (lp.farkas_ge, ([[1.0, 0], [0, 1]], [1, 1])),
+        (lp.minimize_ge, ([[1, 0], [0, 1]], [Fraction(1, 2), 1], [1, 1])),
+        (lp.minimize_ge, ([[1.0, 0], [0, 1]], [1, 1], [1, 1])),
+        (lp.minimize_ge, ([[1, 0], [0, 1]], [1, 1], [Fraction(1, 2), 1])),
+        (lp.feasible_ge, ([[1, 0], [0, 1]], [Fraction(1, 2), 1])),
+        (lp.feasible_ge, ([[1.0, 0], [0, 1]], [1, 1])),
+    ],
+    ids=["farkas-b", "farkas-A", "minimize-b", "minimize-A", "minimize-c", "feasible-b", "feasible-A"],
+)
+def test_ge_wrappers_refuse_rational_and_float_input(solve, args):
+    # the wrappers take integers only: a Fraction b or c, or a float in A
+    with pytest.raises(TypeError):
+        solve(*args)
 
 
 @given(
