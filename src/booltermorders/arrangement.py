@@ -21,8 +21,9 @@ F_q^n as an oracle (``tests/oracles.py``).
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from math import factorial, gcd, isqrt
+
+from .core import _Frozen
 
 # the largest n for char_poly: n = 7 would need nine primes above M_7 = 576,
 # far beyond what the point-count search can count
@@ -56,11 +57,13 @@ class CrossValidationError(RuntimeError):
         super().__init__(f"{message} (primes used: {primes})")
 
 
-@dataclass(frozen=True)
-class CharPoly:
+class CharPoly(_Frozen):
     """Monic integer polynomial, coefficients in descending degree."""
 
-    coefficients: tuple[int, ...]
+    _fields = ("coefficients",)
+
+    def __init__(self, coefficients: tuple[int, ...]):
+        self.__dict__["coefficients"] = coefficients
 
     @property
     def degree(self) -> int:

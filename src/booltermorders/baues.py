@@ -16,14 +16,14 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
-from typing import Sequence
+from collections.abc import Sequence
 
 from .core import (
     LevelArray,
     OrderError,
     ParseError,
     TermOrder,
+    _Frozen,
     _shape,
     _vouch,
     read_levels,
@@ -39,8 +39,7 @@ class PartialOrderError(ParseError, OrderError):
     """A well-formed order file whose levels break the order axioms."""
 
 
-@dataclass(frozen=True)
-class PartialTermOrder(LevelArray):
+class PartialTermOrder(LevelArray, _Frozen):
     """Levels of an ordered partition of the subsets of [n].
 
     ``level[mask]`` is the 0-based level of the subset.  The constructor
@@ -50,14 +49,14 @@ class PartialTermOrder(LevelArray):
     the union axiom.
     """
 
-    n: int
-    level: tuple[int, ...]
+    _fields = ("n", "level")
 
-    def __post_init__(self):
-        object.__setattr__(self, "level", _shape(self.n, self.level))
-        fault = structural_fault(self.level)
+    def __init__(self, n: int, level: Sequence[int]):
+        level = _shape(n, level)
+        fault = structural_fault(level)
         if fault is not None:
             raise OrderError(fault)
+        self.__dict__.update(n=n, level=level)
 
     @classmethod
     def from_total(cls, order: TermOrder) -> "PartialTermOrder":

@@ -12,16 +12,17 @@ left and right sides coincide as multisets of ground elements.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections.abc import Sequence
 from itertools import repeat
 from numbers import Rational
 from operator import and_, xor
-from typing import Sequence
 
 from . import lp
 from .core import (
     DisjointPair,
     TermOrder,
+    _Frozen,
+    _Verdict,
     _ground,
     _vouch,
     format_subset,
@@ -45,8 +46,7 @@ class CoherentOrderError(ValueError):
     """Raised when a noncoherence certificate is requested for a coherent order."""
 
 
-@dataclass(frozen=True)
-class Certificate:
+class Certificate(_Frozen):
     """Multiset of ordered disjoint pairs witnessing noncoherence.
 
     The pairs, with multiplicities, cancel: summing multiplicity times
@@ -56,14 +56,14 @@ class Certificate:
     itself, which no weight vector allows.
     """
 
-    pairs: tuple[DisjointPair, ...]
-    multiplicities: tuple[int, ...]
+    _fields = ("pairs", "multiplicities")
 
-    def __post_init__(self):
-        if len(self.pairs) != len(self.multiplicities):
+    def __init__(self, pairs: tuple[DisjointPair, ...], multiplicities: tuple[int, ...]):
+        if len(pairs) != len(multiplicities):
             raise ValueError("pairs and multiplicities must have equal length")
-        if any(m <= 0 for m in self.multiplicities):
+        if any(m <= 0 for m in multiplicities):
             raise ValueError("multiplicities must be positive")
+        self.__dict__.update(pairs=pairs, multiplicities=multiplicities)
 
 
 def subset_sum(w: Sequence, mask: int):
@@ -201,13 +201,11 @@ def noncoherence_certificate(order) -> Certificate:
     return cert
 
 
-@dataclass(frozen=True)
-class CertificateCheck:
-    ok: bool
-    reason: str = ""
+class CertificateCheck(_Frozen, _Verdict):
+    _fields = ("ok", "reason")
 
-    def __bool__(self) -> bool:
-        return self.ok
+    def __init__(self, ok: bool, reason: str = ""):
+        self.__dict__.update(ok=ok, reason=reason)
 
 
 def verify_certificate(order, cert: Certificate) -> CertificateCheck:

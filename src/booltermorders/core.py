@@ -18,8 +18,7 @@ from __future__ import annotations
 
 import functools
 import operator
-from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 
 MAX_GROUND = 16
 
@@ -34,6 +33,40 @@ class ParseError(ValueError):
         if line is not None:
             message = f"line {line}: {message}"
         super().__init__(message)
+
+
+class _Record:
+    """Equality and repr over the attributes named in ``_fields``, as ``dataclasses``
+    makes them: only the same class compares.  A :class:`_Frozen` record is hashed
+    by its field tuple, and only its ``__init__`` writes fields (into ``__dict__``);
+    a :class:`_Verdict` is true iff ``ok``."""
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        body = ", ".join([f"{name}={getattr(self, name)!r}" for name in self._fields])
+        return f"{self.__class__.__qualname__}({body})"
+
+
+class _Frozen(_Record):
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __setattr__(self, name, *value):
+        raise AttributeError(f"cannot {'assign to' if value else 'delete'} field {name!r}")
+
+    __delattr__ = __setattr__
+
+
+class _Verdict(_Record):
+    def __bool__(self) -> bool:
+        return self.ok
 
 
 # ---------------------------------------------------------------------------
@@ -114,20 +147,19 @@ def parse_subset(text: str, n: int, line: int | None = None) -> int:
     return mask
 
 
-@dataclass(frozen=True)
-class DisjointPair:
+class DisjointPair(_Frozen):
     """An ordered pair of disjoint subsets, left strictly below right."""
 
-    left: int
-    right: int
+    _fields = ("left", "right")
 
-    def __post_init__(self):
-        if self.left < 0 or self.right < 0:
+    def __init__(self, left: int, right: int):
+        if left < 0 or right < 0:
             raise ValueError("pair sides must be nonnegative masks")
-        if self.left & self.right:
+        if left & right:
             raise ValueError("pair sides must be disjoint")
-        if self.left == 0 and self.right == 0:
+        if left == 0 and right == 0:
             raise ValueError("pair sides may not both be empty")
+        self.__dict__.update(left=left, right=right)
 
     def reversed(self) -> "DisjointPair":
         return DisjointPair(self.right, self.left)
@@ -204,8 +236,7 @@ class LevelArray:
         return self.num_levels == len(self.level)
 
 
-@dataclass(frozen=True)
-class TermOrder(LevelArray):
+class TermOrder(LevelArray, _Frozen):
     """A candidate total order on the subsets of [n]: ``rank``, its level array.
 
     The constructor only checks the shape; use :func:`validate` to test the
@@ -216,11 +247,10 @@ class TermOrder(LevelArray):
     keeps validity.  So an order is scanned once, where it enters.
     """
 
-    n: int
-    rank: tuple[int, ...]
+    _fields = ("n", "rank")
 
-    def __post_init__(self):
-        object.__setattr__(self, "rank", _shape(self.n, self.rank))
+    def __init__(self, n: int, rank: Sequence[int]):
+        self.__dict__.update(n=n, rank=_shape(n, rank))
 
     @classmethod
     def from_chain(cls, n: int, chain: Sequence[int]) -> "TermOrder":
@@ -243,22 +273,23 @@ class TermOrder(LevelArray):
         return tuple(inv)
 
 
-@dataclass
-class ValidationReport:
+class ValidationReport(_Verdict):
     """A verdict; ``violations`` holds at most one triple, see :func:`validate`."""
 
-    ok: bool
-    structural: list[str] = field(default_factory=list)
-    violations: list[tuple[int, ...]] = field(default_factory=list)
+    _fields = ("ok", "structural", "violations")
 
-    def __bool__(self) -> bool:
-        return self.ok
+    def __init__(self, ok: bool, structural: list | None = None, violations: list | None = None):
+        self.ok = ok
+        self.structural = [] if structural is None else structural
+        self.violations = [] if violations is None else violations
 
     @property
     def reason(self) -> str:
-        """A failed report's first problem in words: a structural message, else the triple."""
+        """The first problem in words: a structural message, the triple, or ``""``."""
         if self.structural:
             return self.structural[0]
+        if not self.violations:
+            return ""
         a, b, g = self.violations[0]
         return (
             f"comparison of {format_subset(a)} and {format_subset(b)} changes under "

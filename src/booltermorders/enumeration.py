@@ -18,18 +18,18 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
-from typing import Iterator
+from collections.abc import Iterator
 
-from .core import TermOrder, _vouch, is_valid, relabel
+from .core import TermOrder, _Frozen, _vouch, is_valid, relabel
 
 MAX_ENUM = 7
 
 
-@dataclass(frozen=True)
-class EnumerationResult:
-    n: int
-    class_count: int
+class EnumerationResult(_Frozen):
+    _fields = ("n", "class_count")
+
+    def __init__(self, n: int, class_count: int):
+        self.__dict__.update(n=n, class_count=class_count)
 
     @property
     def total_count(self) -> int:
@@ -115,11 +115,7 @@ def enumerate_orders(n: int, mode: str = "all") -> Iterator[TermOrder]:
         raise ValueError(f"n must be in 0..{MAX_ENUM}, got {n}")
     if mode not in ("all", "canonical"):
         raise ValueError(f"unknown mode {mode!r}")
-    perms = (
-        [None]
-        if mode == "canonical"
-        else list(itertools.permutations(range(n)))
-    )
+    perms = [None] if mode == "canonical" else list(itertools.permutations(range(n)))
     for chain in _chains(n):
         order = TermOrder.from_chain(n, chain)
         if n <= 5 and not is_valid(order):  # the self-check scans

@@ -8,11 +8,10 @@ agrees with the original on every other disjoint comparison.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .core import (
     DisjointPair,
     TermOrder,
+    _Record,
     _ground,
     _vouch,
     canonicalize,
@@ -30,11 +29,7 @@ def primitive_pairs(order: TermOrder) -> list[DisjointPair]:
     """Disjoint pairs at consecutive ranks, in rank order."""
     require_valid(order)
     chain = order.chain
-    return [
-        DisjointPair(a, b)
-        for a, b in zip(chain, chain[1:])
-        if not a & b
-    ]
+    return [DisjointPair(a, b) for a, b in zip(chain, chain[1:]) if not a & b]
 
 
 def flippable_pairs(order: TermOrder) -> list[DisjointPair]:
@@ -79,11 +74,7 @@ def lex_product(order_a: TermOrder, order_b: TermOrder) -> TermOrder:
     require_valid(order_b)
     k = order_b.n
     _ground(order_a.n + k)
-    chain = [
-        (a << k) | b
-        for a in order_a.chain
-        for b in order_b.chain
-    ]
+    chain = [(a << k) | b for a in order_a.chain for b in order_b.chain]
     return _vouch(TermOrder.from_chain(order_a.n + k, chain))
 
 
@@ -106,14 +97,14 @@ def deficient_extension(order: TermOrder, n: int) -> TermOrder:
     return _vouch(TermOrder.from_chain(n, chain))
 
 
-@dataclass
-class FlipGraph:
+class FlipGraph(_Record):
     """Flip graph on term orders, either per class or per labeling."""
 
-    n: int
-    mode: str
-    vertices: list[TermOrder]
-    adjacency: list[set[int]]
+    _fields = ("n", "mode", "vertices", "adjacency")
+
+    def __init__(self, n: int, mode: str, vertices: list[TermOrder],
+                 adjacency: list[set[int]]):
+        self.n, self.mode, self.vertices, self.adjacency = n, mode, vertices, adjacency
 
     def is_connected(self) -> bool:
         if not self.vertices:

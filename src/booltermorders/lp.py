@@ -20,9 +20,8 @@ the benchmark's tracer hooks them by name (ROADMAP.md item 1).
 
 from __future__ import annotations
 
-from fractions import Fraction
+from collections.abc import Sequence
 from operator import add, index, sub
-from typing import Sequence
 
 
 def _pivot(tab, basis, d, row, col):
@@ -157,6 +156,7 @@ def farkas_ge(A: Sequence[Sequence[int]], b: Sequence[int]):
     solvable, so this is the dual route to :func:`feasible_ge`.  One
     kernel solve with zero cost: the columns of A, then b, are the rows.
     """
+    from fractions import Fraction
     n = len(A[0]) if A else 0
     rows = [[index(a[j]) for a in A] + [0] for j in range(n)] + [[*map(index, b), 1]]
     _, d, lam, _ = _solve_eq(rows, [0] * len(A))
@@ -166,6 +166,7 @@ def farkas_ge(A: Sequence[Sequence[int]], b: Sequence[int]):
 def minimize_ge(A: Sequence[Sequence[int]], b: Sequence[int], c: Sequence[int]):
     """min c.x subject to A x >= b, x free, as x+ - x- with a surplus column per
     row: (status, x, objective)."""
+    from fractions import Fraction
     m = len(A)
     n = len(c)
     c = list(map(index, c))

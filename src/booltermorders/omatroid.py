@@ -18,10 +18,9 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass
-from typing import Mapping
+from collections.abc import Mapping
 
-from .core import is_valid
+from .core import _Verdict, is_valid
 
 SignVector = tuple[int, ...]
 
@@ -30,9 +29,7 @@ MAX_SIGNATURE = 8  # the largest n for mu_from_order, which signs 3^n - 1 vector
 
 def sign_vectors(n: int) -> list[SignVector]:
     """All 3^n - 1 nonzero sign vectors."""
-    return [
-        v for v in itertools.product((1, 0, -1), repeat=n) if any(v)
-    ]
+    return [v for v in itertools.product((1, 0, -1), repeat=n) if any(v)]
 
 
 def negate(x: SignVector) -> SignVector:
@@ -41,9 +38,7 @@ def negate(x: SignVector) -> SignVector:
 
 def from_parts(pos: int, neg: int, n: int) -> SignVector:
     assert not pos & neg
-    return tuple(
-        1 if pos >> i & 1 else (-1 if neg >> i & 1 else 0) for i in range(n)
-    )
+    return tuple(1 if pos >> i & 1 else (-1 if neg >> i & 1 else 0) for i in range(n))
 
 
 class Signature:
@@ -106,14 +101,12 @@ def mu_from_order(order) -> Signature:
     return sigma
 
 
-@dataclass
-class LocalizationReport:
-    ok: bool
-    # (X, Y, signs): a failing coline and sigma on its 8 cocircuits
-    witness: tuple | None = None
+class LocalizationReport(_Verdict):
+    _fields = ("ok", "witness")
 
-    def __bool__(self) -> bool:
-        return self.ok
+    def __init__(self, ok: bool, witness: tuple | None = None):
+        # witness: (X, Y, signs), a failing coline and sigma on its 8 cocircuits
+        self.ok, self.witness = ok, witness
 
 
 def _coline_ok(cycle: SignVector) -> bool:
@@ -173,21 +166,17 @@ def check_localization(sigma: Signature) -> LocalizationReport:
     return LocalizationReport(True)
 
 
-@dataclass
-class MuReport:
-    ok: bool
-    failed_condition: int | None = None
-    witness: tuple | None = None
+class MuReport(_Verdict):
+    _fields = ("ok", "failed_condition", "witness")
 
-    def __bool__(self) -> bool:
-        return self.ok
+    def __init__(self, ok: bool, failed_condition: int | None = None,
+                 witness: tuple | None = None):
+        self.ok, self.failed_condition, self.witness = ok, failed_condition, witness
 
 
 def _compose(x: SignVector, y: SignVector) -> SignVector:
     # defined when y agrees with -x wherever both are nonzero
-    return tuple(
-        xi if yi == 0 else (yi if xi == 0 else 0) for xi, yi in zip(x, y)
-    )
+    return tuple(xi if yi == 0 else (yi if xi == 0 else 0) for xi, yi in zip(x, y))
 
 
 def check_mu_conditions(mu: Signature) -> MuReport:

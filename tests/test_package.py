@@ -95,6 +95,27 @@ def test_cli_import_loads_only_core():
     assert loaded_after("import booltermorders.cli") == {"booltermorders", "cli", "core"}
 
 
+# without ``site`` (-S), which may import typing itself through a .pth hook
+FOOTPRINT = (
+    "import sys\n"
+    "sys.path.insert(0, sys.argv[1])\n"
+    "import booltermorders.cli, booltermorders.coherence\n"
+    "print('fractions' in sys.modules)\n"
+    f"for layer in {[*LAYERS, 'catalog']!r}:\n"
+    "    __import__('booltermorders.' + layer)\n"
+    "print(*sorted({'dataclasses', 'inspect', 'typing'} & set(sys.modules)))\n"
+)
+
+
+def test_import_footprint_has_no_dataclasses_inspect_or_typing():
+    out = subprocess.run(
+        [sys.executable, "-S", "-c", FOOTPRINT, str(SRC)],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.splitlines() == ["False", ""]
+
+
 @pytest.fixture(scope="module")
 def order_files(tmp_path_factory):
     folder = tmp_path_factory.mktemp("orders")
