@@ -32,7 +32,7 @@ from .core import (
     structural_fault,
     validate,
 )
-from .coherence import _constraints, _induced_level, find_weight, is_coherent
+from .coherence import _induced_level, _program, find_weight, is_coherent
 
 
 class PartialOrderError(ParseError, OrderError):
@@ -104,18 +104,20 @@ def _extreme_rays(rows, n: int) -> list[tuple[int, ...]]:
     """The extreme rays of {w >= 0 : row.w >= 0 for every row}, sorted.
 
     Double description (Motzkin et al. 1953; Fukuda and Prodon 1996): the
-    unit vectors span the orthant, and each distinct row cuts the cone in
-    turn.  Rays on its nonnegative side stay.  Two rays on opposite strict
+    unit vectors span the orthant, and each distinct row with a negative
+    entry cuts the cone in turn (w >= 0 already implies a row without one).
+    Rays on its nonnegative side stay.  Two rays on opposite strict
     sides combine into one on the row when they are adjacent: no third
     ray is tight on every constraint both are tight on, and those are at
     least n - 2, the rank of a 2-face's equalities.  Each ray is a
     gcd-reduced integer vector with the bitmask of its tight constraints:
-    bit i for w_i >= 0, bit n + k for the k-th row.
+    bit i for w_i >= 0, bit n + k for the k-th row that cuts.
     """
     rays = [
         (tuple(int(i == j) for j in range(n)), ((1 << n) - 1) & ~(1 << i)) for i in range(n)
     ]
-    for k, row in enumerate(dict.fromkeys(map(tuple, rows))):
+    cuts = [row for row in dict.fromkeys(map(tuple, rows)) if min(row, default=0) < 0]
+    for k, row in enumerate(cuts):
         bit = 1 << (n + k)
         pos, neg, kept = [], [], []
         for ray, tight in rays:
@@ -145,7 +147,7 @@ def _positive_rays(order: TermOrder) -> list[tuple[int, ...]]:
     """The extreme rays with every coordinate positive of the order's cone.
 
     The cone holds the weights w with A w >= 0, for A the rows of the
-    weight program :func:`coherence._constraints`: w(a) <= w(b) for each of
+    weight program :func:`coherence._program`: w(a) <= w(b) for each of
     the order's distinct comparisons a < b, then w_i >= 0, the orthant the
     double description starts from.  On the cone w(s) >= w(s_1) for every
     nonempty subset s and the first singleton s_1.  So a point of it
@@ -154,7 +156,7 @@ def _positive_rays(order: TermOrder) -> list[tuple[int, ...]]:
     extreme ray is.
     """
     require_valid(order)
-    return [ray for ray in _extreme_rays(_constraints(order)[0], order.n) if all(ray)]
+    return [ray for ray in _extreme_rays(_program(order)[1], order.n) if all(ray)]
 
 
 def coherent_above_only_trivial(order: TermOrder) -> bool:

@@ -17,7 +17,6 @@ import argparse
 import math
 import os
 import sys
-from pathlib import Path
 
 # every other layer is imported by the subcommands that use it
 from .core import (
@@ -38,7 +37,8 @@ class UsageError(Exception):
 
 def _read(path: str) -> str:
     try:
-        return Path(path).read_text()
+        with open(path) as file:
+            return file.read()
     except OSError as exc:
         raise UsageError(f"cannot read {path}: {exc.strerror}") from None
 
@@ -124,18 +124,18 @@ def _cmd_enumerate(args) -> int:
         orders = (o for o in orders if is_coherent(o))
     if args.out:
         import hashlib
-        out = Path(args.out)
         try:
-            out.mkdir(parents=True, exist_ok=True)
+            os.makedirs(args.out, exist_ok=True)
         except OSError as exc:
             raise UsageError(f"cannot create {args.out}: {exc.strerror}") from None
         count = 0
         for order in orders:
             text = serialize_order(order)
             name = hashlib.sha256(text.encode()).hexdigest()[:16]
-            path = out / f"{name}.bto"
+            path = os.path.join(args.out, f"{name}.bto")
             try:
-                path.write_text(text)
+                with open(path, "w") as file:
+                    file.write(text)
             except OSError as exc:
                 raise UsageError(f"cannot write {path}: {exc.strerror}") from None
             count += 1

@@ -168,12 +168,6 @@ class DisjointPair(_Frozen):
         return f"{format_subset(self.left)} < {format_subset(self.right)}"
 
 
-def reduced_pair(left: int, right: int) -> tuple[int, int]:
-    """Strip the common part of two masks, giving the disjoint comparison."""
-    common = left & right
-    return left & ~common, right & ~common
-
-
 # ---------------------------------------------------------------------------
 # term orders
 

@@ -184,6 +184,8 @@ def _lex_min(columns, basis, b):
     """The lexicographic minimum of A x >= b on integers: the n columns of A, the index of each
     unit row e_j in A, and integer b; (d, the minimum's numerators over d) or None."""
     n = len(columns)
-    tab = [column + [int(i == j) for i in range(n)] for j, column in enumerate(columns)]
+    tab = [[*column, *[0] * n] for column in columns]
+    for j, row in enumerate(tab):
+        row[j - n] = 1  # column j of A, then e_j
     d, obj = _simplex(tab, basis, 1, [-v for v in b], n, dantzig=True)
     return None if obj is None else (d, [-v for v in obj])

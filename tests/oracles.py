@@ -19,7 +19,7 @@ import numpy as np
 from booltermorders import lp
 from booltermorders.arrangement import CharPoly, _rank_det, normals
 from booltermorders.baues import PartialTermOrder
-from booltermorders.coherence import Certificate, _constraints
+from booltermorders.coherence import Certificate, _program
 from booltermorders.core import (
     MAX_GROUND,
     DisjointPair,
@@ -29,7 +29,6 @@ from booltermorders.core import (
     format_subset,
     full_mask,
     parse_subset,
-    reduced_pair,
     relabel,
 )
 from booltermorders.enumeration import enumerate_orders
@@ -836,13 +835,20 @@ def lex_min_ge(A: Sequence[Sequence[int]], b: Sequence[int], n: int):
 # the weight program with one row per consecutive comparison, repeats kept
 
 
+def reduced_pair(left: int, right: int) -> tuple[int, int]:
+    """Strip the common part of two masks, giving the disjoint comparison."""
+    common = left & right
+    return left & ~common, right & ~common
+
+
 def _indicator_difference(a: int, b: int, n: int) -> list[int]:
     return [((b >> i) & 1) - ((a >> i) & 1) for i in range(n)]
 
 
 def comparisons_level_array(order) -> list[tuple[int, int, int]]:
-    """Reference for ``coherence._comparisons``: the same list, read off the
-    generic ``levels`` list of lists with one ``reduced_pair`` call per pair.
+    """Reference for ``coherence._program``'s comparisons as (left, right, rhs),
+    read off the generic ``levels`` list of lists with one ``reduced_pair``
+    call per pair.
 
     In first-occurrence order: the reduced pair of each two consecutive
     levels (first subsets) with rhs 1, then ({}, {i}, 1) when the empty set
@@ -941,7 +947,8 @@ def lex_min_by_pins(A, b, n: int):
 def coherent_by_farkas(order) -> bool:
     """Reference for ``coherence.is_coherent``: the weight program is feasible
     iff its two-phase Farkas dual (``lp.farkas_ge``) finds no certificate."""
-    return lp.farkas_ge(*_constraints(order)) is None
+    _, rows, rhs = _program(order)
+    return lp.farkas_ge(rows, rhs) is None
 
 
 def lex_min_weight_full_rows(order):

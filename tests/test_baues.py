@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 
@@ -22,6 +23,7 @@ from booltermorders.catalog import (
     rigid_noncoherent_six,
 )
 from booltermorders.coherence import (
+    _program,
     find_weight,
     is_coherent,
     order_from_weight,
@@ -211,6 +213,24 @@ def test_extreme_rays_match_null_vector_oracle(canonical_orders):
     orders = [order for n in range(1, 5) for order in canonical_orders[n]]
     assert check_rays_by_null_vectors(orders) == 1 + 1 + 3 + 38
     check_rays_by_null_vectors(random.Random(13).sample(canonical_orders[5], 25))
+
+
+# sha256 over repr(_extreme_rays(rows, 5)) for the weight program of every
+# canonical n=5 class in search order, each followed by a newline, taken when
+# every distinct row still cut the cone; a change that moves any ray changes it
+EXTREME_RAYS_N5_SHA256 = "58951a487cbf7d7c9a27296babe6cdce1012a1127a133a8a5208b72d0777fd9c"
+
+
+def test_every_n5_ray_set_is_pinned(canonical_orders):
+    digest = hashlib.sha256()
+    total = positive = 0
+    for order in canonical_orders[5]:
+        rays = _extreme_rays(_program(order)[1], 5)
+        total += len(rays)
+        positive += sum(map(all, rays))
+        digest.update(repr(rays).encode() + b"\n")
+    assert (total, positive) == (3063, 2444)
+    assert digest.hexdigest() == EXTREME_RAYS_N5_SHA256
 
 
 @extended

@@ -2,7 +2,10 @@ import hashlib
 import itertools
 import random
 import re
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -21,7 +24,7 @@ from booltermorders.catalog import (
 )
 from booltermorders.coherence import (
     Certificate,
-    _constraints,
+    _program,
     CoherentOrderError,
     TieError,
     find_weight,
@@ -37,6 +40,7 @@ from conftest import extended
 from oracles import (
     certificate_full_rows,
     coherent_by_farkas,
+    comparisons_level_array,
     difference_rows,
     has_positive_cone_point,
     lex_min_ge,
@@ -55,8 +59,34 @@ def test_constraints_of_total_orders(canonical_orders):
                 for a, b in zip(chain, chain[1:])
             ]
             units = [tuple(int(i == j) for j in range(n)) for i in range(n)]
-            rows = [list(row) for row in dict.fromkeys(steps + units)]
-            assert _constraints(order) == (rows, [1] * len(rows))
+            rows = list(dict.fromkeys(steps + units))
+            assert _program(order)[1:] == (rows, [1] * len(rows))
+
+
+def test_import_builds_no_code_tables():
+    """Importing fills no row table; each n's tables are built on first use."""
+    src = Path(coherence.__file__).parents[1]
+    code = (
+        "import booltermorders.cli, booltermorders.baues\n"
+        "from booltermorders import coherence\n"
+        "print(coherence._code_tables.cache_info().currsize)\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True, cwd=src
+    )
+    assert out.stdout.split() == ["0"]
+
+
+def test_n9_program_adds_no_cache_entry():
+    # above n = 8 the tables are built per call and each row from its code
+    order = order_from_weight([1 << i for i in range(9)], 9)
+    before = coherence._code_tables.cache_info()
+    codes, rows, rhs = _program(order)
+    comps = comparisons_level_array(order)
+    assert rows == [tuple((r >> j & 1) - (l >> j & 1) for j in range(9)) for l, r, _ in comps]
+    assert rhs == [1] * len(comps)
+    assert find_weight(order) == tuple(1 << i for i in range(9))
+    assert coherence._code_tables.cache_info() == before
 
 
 def assert_matches_full_rows(order):

@@ -23,7 +23,6 @@ from booltermorders.core import (
     mask_of,
     parse_order,
     read_levels,
-    reduced_pair,
     relabel,
     serialize_order,
     union_violation,
@@ -37,6 +36,7 @@ from oracles import (
     is_union_violation,
     is_valid_all_gammas,
     read_levels_scan,
+    reduced_pair,
     relabel_image_table,
 )
 

@@ -95,7 +95,7 @@ def test_cli_import_loads_only_core():
     assert loaded_after("import booltermorders.cli") == {"booltermorders", "cli", "core"}
 
 
-# without ``site`` (-S), which may import typing itself through a .pth hook
+# without ``site`` (-S), which may import typing or pathlib itself through a .pth hook
 FOOTPRINT = (
     "import sys\n"
     "sys.path.insert(0, sys.argv[1])\n"
@@ -103,7 +103,7 @@ FOOTPRINT = (
     "print('fractions' in sys.modules)\n"
     f"for layer in {[*LAYERS, 'catalog']!r}:\n"
     "    __import__('booltermorders.' + layer)\n"
-    "print(*sorted({'dataclasses', 'inspect', 'typing'} & set(sys.modules)))\n"
+    "print(*sorted({'dataclasses', 'inspect', 'pathlib', 'typing'} & set(sys.modules)))\n"
 )
 
 

@@ -30,9 +30,9 @@ from booltermorders.cli import main
 from booltermorders.coherence import (
     CoherentOrderError,
     TieError,
-    _comparisons,
-    _constraints,
     _coprime,
+    _pair,
+    _program,
     _weight_sums,
     find_weight,
     noncoherence_certificate,
@@ -73,6 +73,7 @@ from oracles import (
     check_localization_tuples,
     comparisons_level_array,
     det_leibniz,
+    difference_rows,
     extreme_rays_by_null_vectors,
     first_violation_list_scan,
     rank2_extension_patterns,
@@ -155,7 +156,7 @@ def test_farkas_matches_fraction_oracle(canonical_orders, coherence_flags):
     # every class with n <= 4 is coherent, so both sides give None there
     for n in range(1, 5):
         for order in canonical_orders[n]:
-            rows, rhs = _constraints(order)
+            _, rows, rhs = _program(order)
             assert lp.farkas_ge(rows, rhs) == farkas_by_fraction_oracle(rows, rhs)
     # the 30 noncoherent n=5 classes, canonical and under a seeded relabeling: the
     # certificate read off the kernel's integer numerators is the oracle's Fraction
@@ -165,11 +166,12 @@ def test_farkas_matches_fraction_oracle(canonical_orders, coherence_flags):
     assert len(noncoherent) == 30
     for cls in noncoherent:
         for order in (cls, relabel(cls, rng.sample(range(5), 5))):
-            rows, rhs = _constraints(order)
+            _, rows, rhs = _program(order)
             lam = farkas_by_fraction_oracle(rows, rhs)
             assert lam is not None and lp.farkas_ge(rows, rhs) == lam
             mults = _to_integer_weights(lam)
-            expected = sorted((l, r, m) for (l, r, _), m in zip(_comparisons(order), mults) if m)
+            comps = comparisons_level_array(order)
+            expected = sorted((l, r, m) for (l, r, _), m in zip(comps, mults) if m)
             cert = noncoherence_certificate(order)
             assert [(p.left, p.right, m) for p, m in zip(cert.pairs, cert.multiplicities)] == expected
 
@@ -251,10 +253,13 @@ def test_lex_min_ge_matches_pin_oracle(system):
         assert all(sum(a * v for a, v in zip(row, x)) >= beta for row, beta in zip(A, b))
 
 
+ONE_LEVEL = _program(PartialTermOrder.trivial(3))
+
+
 @given(ge_systems())
 @example(([[1], [-1]], [1, 0], 1))  # infeasible
 @example(([[], []], [0, 1], 0))  # zero unknowns, infeasible
-@example((*_constraints(PartialTermOrder.trivial(3)), 3))  # the one-level order: w = 0
+@example(([*map(list, ONE_LEVEL[1])], ONE_LEVEL[2], 3))  # the one-level order: w = 0
 @example(([[1, 0], [0, 1], [1, 1]], [1, 1, 3], 2))  # (1, 2)
 @example(([[2, 0], [1, 0], [0, 1], [0, 3]], [1, 0, 0, 2], 2))  # (1/2, 2/3) -> (3, 4)
 def test_integer_read_off_matches_the_fraction_route(system):
@@ -734,12 +739,32 @@ def test_find_partial_weight_induces_tied_levels(weights):
     assert PartialTermOrder.from_weight(find_partial_weight(p)).level == p.level
 
 
+def assert_program_matches_oracles(order):
+    """``_program`` against the level-array oracle: the same comparisons in the
+    same order, each row the indicator difference of its pair (the steps as
+    ``difference_rows``, the columns as ``transposed``), each code the row's
+    balanced-ternary value, and the same right-hand sides and unit-row positions."""
+    n = order.n
+    codes, rows, rhs = _program(order)
+    comps = comparisons_level_array(order)
+    pairs = [(left, right) for left, right, _ in comps]
+    assert [_pair(row) for row in rows] == pairs
+    assert rhs == [b for _, _, b in comps]
+    expected = [tuple((r >> j & 1) - (l >> j & 1) for j in range(n)) for l, r in pairs]
+    assert rows == expected
+    steps = list(dict.fromkeys(map(tuple, difference_rows(order))))
+    assert rows[: len(steps)] == steps
+    assert [list(column) for column in zip(*rows)] == transposed(expected, n)
+    assert codes == [sum(v * 3**j for j, v in enumerate(row)) for row in rows]
+    assert all(type(v) is int for v in [*codes, *rhs, *itertools.chain(*rows)])
+    units = [codes.index(3**j) for j in range(n)]
+    assert units == [pairs.index((0, 1 << j)) for j in range(n)]
+
+
 def test_comparisons_match_level_array_oracle(canonical_orders):
     orders = [TermOrder(0, (0,))] + [o for n in range(1, 6) for o in canonical_orders[n]]
     for order in orders + enumerated_classes(6)[:300]:
-        comps = _comparisons(order)
-        assert comps == comparisons_level_array(order)
-        assert all(type(c) is tuple and all(type(v) is int for v in c) for c in comps)
+        assert_program_matches_oracles(order)
 
 
 @st.composite
@@ -760,7 +785,34 @@ def weight_program_orders(draw):
 
 @given(weight_program_orders())
 def test_comparisons_match_level_array_oracle_on_drawn_orders(order):
-    assert _comparisons(order) == comparisons_level_array(order)
+    assert_program_matches_oracles(order)
+
+
+@st.composite
+def valid_weight_orders(draw):
+    """A valid order on n = 0..6: the levels of a weight vector, tied or not,
+    in a drawn labeling; a total one flipped a few times and relabeled."""
+    n = draw(st.integers(0, 6))
+    top = draw(st.sampled_from([3, 10**6]))
+    order = PartialTermOrder.from_weight(draw(st.permutations(
+        draw(st.lists(st.integers(1, top), min_size=n, max_size=n)))))
+    if not order.is_total():
+        return order
+    order = order.to_total()
+    for _ in range(draw(st.integers(0, 3))):
+        pairs = [p for p in flippable_pairs(order) if p.left]
+        if pairs:
+            order = flip(order, draw(st.sampled_from(pairs)))
+    return relabel(order, draw(st.permutations(range(n))))
+
+
+@given(valid_weight_orders())
+@example(TermOrder(0, (0,)))
+@example(PartialTermOrder.trivial(4))
+@example(noncoherent_five())
+def test_program_matches_oracles_on_valid_orders(order):
+    assert validate_partial(order).ok
+    assert_program_matches_oracles(order)
 
 
 def contiguous(level):
