@@ -9,7 +9,10 @@ checks and ``coherence``'s weight answer, so ``validate_partial``,
 ``serialize_partial``, ``find_partial_weight`` and ``is_coherent_partial``
 are ``core.validate``, ``core.serialize_order``, ``coherence.find_weight``
 and ``coherence.is_coherent``; weight vectors induce partial orders by
-grouping equal subset sums.
+grouping equal subset sums.  Above a total order, whether any nontrivial
+coherent partial order lies is one lex-min solve of the order's weight
+cone plus a recheck of the point it finds; the list of those orders comes
+from the cone's positive extreme rays, by double description.
 """
 
 from __future__ import annotations
@@ -32,7 +35,15 @@ from .core import (
     structural_fault,
     validate,
 )
-from .coherence import _induced_level, _program, find_weight, is_coherent
+from .coherence import (
+    _exact,
+    _induced_level,
+    _lex_min,
+    _program,
+    _weight_sums,
+    find_weight,
+    is_coherent,
+)
 
 
 class PartialOrderError(ParseError, OrderError):
@@ -67,7 +78,7 @@ class PartialTermOrder(LevelArray, _Frozen):
     def from_weight(cls, weights: Sequence) -> "PartialTermOrder":
         """Partial order grouping equal weight sums, valid once the constructor
         accepts it: w(a) < w(b) iff w(a + g) < w(b + g) for g disjoint from both."""
-        return _vouch(cls(len(weights), _induced_level(weights)))
+        return _vouch(cls(len(weights), _induced_level(_exact(weights))))
 
     @classmethod
     def trivial(cls, n: int) -> "PartialTermOrder":
@@ -164,10 +175,30 @@ def coherent_above_only_trivial(order: TermOrder) -> bool:
 
     Any positive point of the order's weight cone (see
     :func:`_positive_rays`) induces a nontrivial coherent partial order
-    refined by the order, so the answer is yes iff no extreme ray of the
-    cone is positive.
+    refined by the order, so the answer is yes iff the cone has none.  On
+    the cone every coordinate is at least w(s_1), for s_1 = {j} the lowest
+    singleton, so a positive point exists iff w_j >= 1 is feasible: one
+    lex-min solve (:func:`coherence._lex_min`) decides, and the point it
+    finds is rechecked against the level array (positive, subset sums
+    never falling along the levels and equal within one).  The rays are
+    left to :func:`coherent_coarsenings_nontrivial`, which lists them.  At
+    n = 0 the empty set is the only subset, so no partition is nontrivial.
     """
-    return not _positive_rays(order)
+    require_valid(order)
+    n, level = order.n, order.level
+    if n == 0:
+        return True
+    j = min(range(n), key=lambda i: level[1 << i])
+    solution = _lex_min(order, 3**j)
+    if solution is None:
+        return True
+    w = solution[1]
+    steps = sorted(zip(level, _weight_sums(w)))
+    if min(w) <= 0 or any(
+        s > t or (a == b and s != t) for (a, s), (b, t) in zip(steps, steps[1:])
+    ):
+        raise AssertionError("LP produced a cone point that is not positive or not on the cone")
+    return False
 
 
 def coherent_coarsenings_nontrivial(order: TermOrder) -> list[PartialTermOrder]:

@@ -76,12 +76,15 @@ def _parse_certificate(text: str, n: int):
         where = f"bad certificate line {lineno}"
         if not (lt and mult_text.strip().isdecimal()):
             raise UsageError(f"{where}: expected 'pair: LEFT < RIGHT xMULT'")
+        mult = int(mult_text)
+        if not mult:
+            raise UsageError(f"{where}: multiplicities must be positive")
         try:
-            left = parse_subset(left_text, n, lineno)
-            pairs.append(DisjointPair(left, parse_subset(right_text, n, lineno)))
+            left = parse_subset(left_text, n)
+            pairs.append(DisjointPair(left, parse_subset(right_text, n)))
         except ValueError as exc:
             raise UsageError(f"{where}: {exc}") from None
-        mults.append(int(mult_text))
+        mults.append(mult)
     if not pairs:
         raise UsageError("empty certificate file")
     return Certificate(pairs=tuple(pairs), multiplicities=tuple(mults))

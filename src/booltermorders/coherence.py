@@ -11,12 +11,15 @@ left and right sides coincide as multisets of ground elements.
 One builder, :func:`_program`, reads the weight program off the level
 array's chain for the weight solve, the certificate and ``baues``' cone:
 each comparison is one integer code, so repeats drop by code, and each
-row comes from a table cached per n <= 8 (:func:`_code_tables`).  Per
-class (medians of 41 interleaved batches; 2 cores, Python 3.11.7),
-:func:`find_weight` takes about 73 us on a coherent and 52 us on a
-noncoherent n=5 class, and 97 and 73 us at n = 6 (first 600 classes);
-:func:`noncoherence_certificate` about 136 and 171 us, and
-``baues._positive_rays`` on a noncoherent class 93 and 136 us.
+row comes from a table cached per n <= 8 (:func:`_code_tables`).  One
+helper, :func:`_lex_min`, solves it for the weight and, with one
+right-hand side set to 1, for ``baues``' rigidity test.  Per class
+(medians of 41 interleaved batches; 2 cores, Python 3.11.7),
+:func:`find_weight` takes about 94 us on a coherent and 53 us on a
+noncoherent n=5 class, and 90 and 68 us at n = 6 (first 600 classes);
+:func:`noncoherence_certificate` about 126 and 156 us on a noncoherent
+class; ``baues.coherent_above_only_trivial`` 62 and 89 us, where the
+extreme rays (``baues._positive_rays``) take 86 and 125 us.
 """
 
 from __future__ import annotations
@@ -86,10 +89,15 @@ def subset_sum(w: Sequence, mask: int):
     return total
 
 
-def _weight_sums(w: Sequence) -> list:
-    """Every subset's weight sum, by mask; floats, whose sums round, are refused."""
+def _exact(w: Sequence) -> Sequence:
+    """Weights from outside, refused unless integers or fractions: floats' sums round."""
     if not all(isinstance(v, Rational) for v in w):
         raise ValueError(f"weights must be integers or fractions, got {tuple(w)}")
+    return w
+
+
+def _weight_sums(w: Sequence) -> list:
+    """Every subset's weight sum, by mask, for exact weights (see :func:`_exact`)."""
     sums = [0]
     for v in w:
         sums += [s + v for s in sums]  # the subsets with v after those without
@@ -109,7 +117,7 @@ def order_from_weight(w: Sequence, n: int) -> TermOrder:
     """Sort subsets by weight sum; raises TieError for non-generic weights."""
     if len(w) != n:
         raise ValueError(f"expected {n} weights, got {len(w)}")
-    level = _induced_level(w)
+    level = _induced_level(_exact(w))
     if any(v <= 0 for v in w):
         raise ValueError("weights must be positive")
     if max(level) + 1 < len(level):
@@ -192,6 +200,20 @@ def _coprime(numerators) -> tuple[int, ...]:
     return tuple(v // g for v in numerators)
 
 
+def _lex_min(order, unit: int | None = None):
+    """``lp._lex_min`` of :func:`_program`, from the dual columns of its unit
+    rows w_j >= ... (code 3^j, present in every program): (d, numerators) or None.
+
+    With ``unit``, the right-hand side is 1 on the row of that code and 0
+    on every other: the order's cone cut by one inequality.
+    """
+    codes, rows, rhs = _program(order)
+    if unit is not None:
+        rhs = [int(code == unit) for code in codes]
+    basis = [codes.index(3**j) for j in range(order.n)]
+    return lp._lex_min([*zip(*rows)], basis, rhs)
+
+
 def find_weight(order):
     """An integer weight vector inducing a total or partial order's levels, or None.
 
@@ -200,10 +222,7 @@ def find_weight(order):
     one-level order's 0, and rechecked against the level array it induces.
     """
     require_valid(order)
-    n = order.n
-    codes, rows, rhs = _program(order)
-    basis = [codes.index(3**j) for j in range(n)]
-    solution = lp._lex_min([*zip(*rows)], basis, rhs)
+    solution = _lex_min(order)
     if solution is None:
         return None
     weights = _coprime(solution[1])

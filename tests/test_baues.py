@@ -28,7 +28,7 @@ from booltermorders.coherence import (
     is_coherent,
     order_from_weight,
 )
-from booltermorders.core import OrderError, ParseError, full_mask, submasks
+from booltermorders.core import OrderError, ParseError, TermOrder, full_mask, submasks
 from booltermorders.enumeration import enumerate_orders
 from booltermorders.flips import deficient_extension, flip, flippable_pairs
 from booltermorders.omatroid import mu_from_order, partial_order_from_signature
@@ -121,6 +121,19 @@ def test_trivial_partial_order_is_coherent():
         trivial = PartialTermOrder.trivial(n)
         assert find_partial_weight(trivial) == (0,) * n
         assert is_coherent_partial(trivial)
+
+
+def test_rigid_test_edge_cases():
+    # the solve finds the row of s_1 = {j} by its code 3^j: the trivial
+    # partitions hold it only as a tie with the empty set, n = 0 not at all
+    cases = [
+        (TermOrder(0, (0,)), True),
+        (TermOrder(1, (0, 1)), False),
+        *[(PartialTermOrder.trivial(n), True) for n in range(4)],
+        (PartialTermOrder.from_weight((1, 1, 2)), False),
+    ]
+    for order, rigid in cases:
+        assert coherent_above_only_trivial(order) == rigid == (not _positive_rays(order))
 
 
 def test_rigid_order_cone_is_trivial():
@@ -245,6 +258,7 @@ def test_positive_rays_match_farkas_oracle_n6():
         rows = difference_rows(order)
         rays = [ray for ray in _extreme_rays(rows, 6) if all(ray)]
         assert _positive_rays(order) == rays
+        assert coherent_above_only_trivial(order) == (not rays)
         assert bool(rays) == has_positive_cone_point(list(dict.fromkeys(map(tuple, rows))))
         total += len(rays)
         if not rays:

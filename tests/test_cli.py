@@ -370,6 +370,20 @@ def test_malformed_certificate_line_names_the_form(capsys, example_file, tmp_pat
         )
 
 
+@pytest.mark.parametrize(
+    "line, reason",
+    [("pair: - < 2 x1", "element 2 out of range 1..1"), ("pair: - < 1 x0", "multiplicities must be positive")],
+)
+def test_bad_certificate_line_is_named_once(capsys, tmp_path, line, reason):
+    order = tmp_path / "one.bto"
+    order.write_text("n=1\n-\n1\n")
+    cert = tmp_path / "cert.txt"
+    cert.write_text(f"{line}\n")
+    assert run(capsys, "certify", str(order), "--cert", str(cert)) == (
+        2, "", f"error: bad certificate line 1: {reason}\n"
+    )
+
+
 @pytest.mark.parametrize("check", [[], ["--check"]])
 def test_localize_refuses_n_above_the_signature_bound(capsys, tmp_path, check):
     code, text, _ = run(capsys, "realize", "--w", ",".join(str(1 << i) for i in range(9)))

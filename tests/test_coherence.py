@@ -4,6 +4,7 @@ import random
 import re
 import subprocess
 import sys
+from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
 
@@ -363,7 +364,7 @@ def test_oversized_weight_vectors_are_refused_before_any_sum(monkeypatch):
 
 def test_float_weights_are_refused():
     # rounded sums put {3} below {1,2}, though 1/10 + 2/10 = 3/10 exactly
-    for weights in [(0.1, 0.2, 0.3), (1, 2.0, 4)]:
+    for weights in [(0.1, 0.2, 0.3), (1, 2.0, 4), (Decimal("0.1"), 2, 4)]:
         with pytest.raises(ValueError, match="weights must be integers or fractions"):
             order_from_weight(weights, 3)
         with pytest.raises(ValueError, match="weights must be integers or fractions"):

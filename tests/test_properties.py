@@ -19,18 +19,21 @@ from booltermorders.arrangement import _rank_det
 from booltermorders.baues import (
     PartialTermOrder,
     _extreme_rays,
+    _positive_rays,
+    coherent_above_only_trivial,
     find_partial_weight,
     parse_partial,
     refines,
     serialize_partial,
     validate_partial,
 )
-from booltermorders.catalog import noncoherent_five, nonorder_localization_three
+from booltermorders.catalog import noncoherent_five, nonorder_localization_three, rigid_noncoherent_six
 from booltermorders.cli import main
 from booltermorders.coherence import (
     CoherentOrderError,
     TieError,
     _coprime,
+    _lex_min,
     _pair,
     _program,
     _weight_sums,
@@ -409,6 +412,38 @@ def test_flip_walks_keep_orders_valid_and_decided(weights, picks):
             assert order_from_weight(weight, n) == order
             with pytest.raises(CoherentOrderError):
                 noncoherence_certificate(order)
+
+
+@st.composite
+def walked_orders(draw):
+    """A weight order on n <= 6, relabeled, then a few flips away."""
+    n = draw(st.integers(1, 6))
+    weights = draw(st.lists(st.integers(1, 1000), min_size=n, max_size=n))
+    try:
+        order = order_from_weight(weights, n)
+    except TieError:
+        assume(False)
+    order = relabel(order, draw(st.permutations(range(n))))
+    for _ in range(draw(st.integers(0, 8))):
+        pairs = [p for p in flippable_pairs(order) if p.left]
+        if not pairs:
+            break
+        order = flip(order, draw(st.sampled_from(pairs)))
+    return order
+
+
+@given(walked_orders())
+@example(noncoherent_five())  # two positive rays
+@example(rigid_noncoherent_six())
+def test_rigid_test_matches_positive_rays(order):
+    rigid = coherent_above_only_trivial(order)
+    assert rigid == (not _positive_rays(order))
+    if not rigid:
+        # the cut solve's point, checked apart from the library's own recheck
+        j = min(range(order.n), key=lambda i: order.level[1 << i])
+        _, point = _lex_min(order, 3**j)
+        assert min(point) > 0
+        assert refines(PartialTermOrder.from_total(order), PartialTermOrder.from_weight(point))
 
 
 @functools.lru_cache(maxsize=None)
