@@ -70,39 +70,29 @@ class CharPoly(_Frozen):
         return len(self.coefficients) - 1
 
     def __call__(self, x):
-        value = 0
-        for c in self.coefficients:
-            value = value * x + c
-        return value
+        return _horner(self.coefficients, x)[-1]
 
     def integer_roots(self) -> tuple[list[int], tuple[int, ...]]:
-        """(roots with multiplicity, remaining coefficient tuple)."""
+        """(roots with multiplicity, remaining coefficient tuple).
+
+        A nonzero integer root divides the constant term left after the
+        roots at 0, and so does every one after it: one pass over those
+        divisors, each divided out while it is a root, finds them all.
+        """
         coeffs = list(self.coefficients)
         roots = []
-        while len(coeffs) > 1:
-            const = coeffs[-1]
-            if const == 0:
-                roots.append(0)
-                coeffs = coeffs[:-1]
-                continue
-            for cand in _divisors(abs(const)):
-                for root in (cand, -cand):
-                    value = 0
-                    for c in coeffs:
-                        value = value * root + c
-                    if value == 0:
-                        break
-                else:
-                    continue
+        while len(coeffs) > 1 and coeffs[-1] == 0:
+            roots.append(0)
+            coeffs.pop()
+        for cand in _divisors(abs(coeffs[-1])):
+            if len(coeffs) == 1:
                 break
-            else:
-                break
-            # synthetic division by (x - root)
-            new = [coeffs[0]]
-            for c in coeffs[1:-1]:
-                new.append(c + new[-1] * root)
-            roots.append(root)
-            coeffs = new
+            for root in (cand, -cand):
+                *quotient, value = _horner(coeffs, root)
+                while value == 0:
+                    roots.append(root)
+                    coeffs = quotient
+                    *quotient, value = _horner(coeffs, root)
         return sorted(roots), tuple(coeffs)
 
     def __str__(self) -> str:
@@ -131,6 +121,16 @@ class CharPoly(_Frozen):
         if len(rest) > 1:
             parts.append(f"({CharPoly(rest)})")
         return "".join(parts) if parts else str(self)
+
+
+def _horner(coefficients, x) -> list:
+    """Horner's partial values at x: the quotient by (X - x), then the value at x."""
+    values = []
+    value = 0
+    for c in coefficients:
+        value = value * x + c
+        values.append(value)
+    return values
 
 
 def _divisors(c: int) -> list[int]:

@@ -17,7 +17,6 @@ from the cone's positive extreme rays, by double description.
 
 from __future__ import annotations
 
-import math
 import operator
 from collections.abc import Sequence
 
@@ -36,6 +35,7 @@ from .core import (
     validate,
 )
 from .coherence import (
+    _coprime,
     _exact,
     _induced_level,
     _lex_min,
@@ -72,7 +72,7 @@ class PartialTermOrder(LevelArray, _Frozen):
     @classmethod
     def from_total(cls, order: TermOrder) -> "PartialTermOrder":
         require_valid(order)
-        return cls(order.n, order.level)
+        return _vouch(cls(order.n, order.level))
 
     @classmethod
     def from_weight(cls, weights: Sequence) -> "PartialTermOrder":
@@ -83,12 +83,12 @@ class PartialTermOrder(LevelArray, _Frozen):
     @classmethod
     def trivial(cls, n: int) -> "PartialTermOrder":
         """Everything on one level."""
-        return cls(n, (0,) * (1 << n))
+        return _vouch(cls(n, (0,) * (1 << n)))
 
     def to_total(self) -> TermOrder:
         if not self.is_total():
             raise OrderError("partial order has ties; not a total order")
-        return TermOrder(self.n, self.level)
+        return _vouch(TermOrder(self.n, self.level), self.__dict__.get("_valid"))
 
 
 # one validator, one writer and one weight answer serve total and partial orders
@@ -102,13 +102,18 @@ def refines(fine: PartialTermOrder, coarse: PartialTermOrder) -> bool:
     """True when every strict comparison of ``coarse`` holds in ``fine``.
 
     That is, the coarse level is a non-decreasing function of the fine
-    level: among the distinct (fine, coarse) level pairs, sorted, the fine
-    levels increase strictly and the coarse levels never decrease.
+    level (:func:`_monotone`).
     """
     if fine.n != coarse.n:
         raise ValueError("ground sets differ")
-    pairs = sorted(set(zip(fine.level, coarse.level)))
-    return all(f < f2 and c <= c2 for (f, c), (f2, c2) in zip(pairs, pairs[1:]))
+    return _monotone(fine.level, coarse.level)
+
+
+def _monotone(level, values) -> bool:
+    """Whether ``values`` is a non-decreasing function of ``level``: sorted by
+    level, the values never fall, and they are equal within one level."""
+    steps = sorted(zip(level, values))
+    return not any(c > c2 or (f == f2 and c != c2) for (f, c), (f2, c2) in zip(steps, steps[1:]))
 
 
 def _extreme_rays(rows, n: int) -> list[tuple[int, ...]]:
@@ -147,9 +152,7 @@ def _extreme_rays(rows, n: int) -> list[tuple[int, ...]]:
                     t & common == common and t != tp and t != tq for _, t in rays
                 ):
                     continue
-                ray = [vq * a + vp * b for a, b in zip(p, q)]
-                g = math.gcd(*ray)
-                kept.append((tuple(v // g for v in ray), common | bit))
+                kept.append((_coprime([vq * a + vp * b for a, b in zip(p, q)]), common | bit))
         rays = kept
     return sorted(ray for ray, _ in rays)
 
@@ -179,10 +182,11 @@ def coherent_above_only_trivial(order: TermOrder) -> bool:
     the cone every coordinate is at least w(s_1), for s_1 = {j} the lowest
     singleton, so a positive point exists iff w_j >= 1 is feasible: one
     lex-min solve (:func:`coherence._lex_min`) decides, and the point it
-    finds is rechecked against the level array (positive, subset sums
-    never falling along the levels and equal within one).  The rays are
-    left to :func:`coherent_coarsenings_nontrivial`, which lists them.  At
-    n = 0 the empty set is the only subset, so no partition is nontrivial.
+    finds is rechecked against the level array: positive, with subset sums
+    a non-decreasing function of the level (:func:`_monotone`, the check of
+    :func:`refines`).  The rays are left to
+    :func:`coherent_coarsenings_nontrivial`, which lists them.  At n = 0
+    the empty set is the only subset, so no partition is nontrivial.
     """
     require_valid(order)
     n, level = order.n, order.level
@@ -193,10 +197,7 @@ def coherent_above_only_trivial(order: TermOrder) -> bool:
     if solution is None:
         return True
     w = solution[1]
-    steps = sorted(zip(level, _weight_sums(w)))
-    if min(w) <= 0 or any(
-        s > t or (a == b and s != t) for (a, s), (b, t) in zip(steps, steps[1:])
-    ):
+    if min(w) <= 0 or not _monotone(level, _weight_sums(w)):
         raise AssertionError("LP produced a cone point that is not positive or not on the cone")
     return False
 

@@ -14,7 +14,6 @@ Every subcommand keeps one exit-code contract:
 from __future__ import annotations
 
 import argparse
-import math
 import os
 import sys
 
@@ -108,7 +107,7 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_enumerate(args) -> int:
-    from .enumeration import count_orders, enumerate_orders
+    from .enumeration import EnumerationResult, count_orders, enumerate_orders
     if args.coherent_only:
         from .coherence import is_coherent
     n = args.n
@@ -116,11 +115,10 @@ def _cmd_enumerate(args) -> int:
     if args.count_only:
         if args.coherent_only:
             classes = sum(map(is_coherent, enumerate_orders(n, mode="canonical")))
-            total = classes * math.factorial(n)
+            result = EnumerationResult(n=n, class_count=classes)
         else:
             result = count_orders(n)
-            classes, total = result.class_count, result.total_count
-        print(f"classes={classes} total={total}")
+        print(f"classes={result.class_count} total={result.total_count}")
         return 0
     orders = enumerate_orders(n, mode=mode)
     if args.coherent_only:

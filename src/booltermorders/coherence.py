@@ -13,13 +13,7 @@ array's chain for the weight solve, the certificate and ``baues``' cone:
 each comparison is one integer code, so repeats drop by code, and each
 row comes from a table cached per n <= 8 (:func:`_code_tables`).  One
 helper, :func:`_lex_min`, solves it for the weight and, with one
-right-hand side set to 1, for ``baues``' rigidity test.  Per class
-(medians of 41 interleaved batches; 2 cores, Python 3.11.7),
-:func:`find_weight` takes about 94 us on a coherent and 53 us on a
-noncoherent n=5 class, and 90 and 68 us at n = 6 (first 600 classes);
-:func:`noncoherence_certificate` about 126 and 156 us on a noncoherent
-class; ``baues.coherent_above_only_trivial`` 62 and 89 us, where the
-extreme rays (``baues._positive_rays``) take 86 and 125 us.
+right-hand side set to 1, for ``baues``' rigidity test.
 """
 
 from __future__ import annotations

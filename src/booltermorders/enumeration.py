@@ -90,18 +90,13 @@ def _merge_leaves(chain: tuple[int, ...], n: int) -> Iterator[list[int]]:
             yield out
 
 
-def _extension_chains(chain: tuple[int, ...], n: int) -> Iterator[tuple[int, ...]]:
-    """The chains of :func:`_merge_leaves`, in its order."""
-    return map(tuple, _merge_leaves(chain, n))
-
-
 def _chains(n: int) -> Iterator[tuple[int, ...]]:
     """Chains of the canonical orders on [n]."""
     if n <= 1:
         yield _BASE_CHAINS[n]
         return
     for chain in _chains(n - 1):
-        yield from _extension_chains(chain, n)
+        yield from map(tuple, _merge_leaves(chain, n))
 
 
 def enumerate_orders(n: int, mode: str = "all") -> Iterator[TermOrder]:
@@ -128,13 +123,13 @@ def enumerate_orders(n: int, mode: str = "all") -> Iterator[TermOrder]:
 def count_orders(n: int) -> EnumerationResult:
     """Class and total counts, streaming with frontier-sized memory.
 
-    For n <= 5 every chain is built and validated; above, the leaves of the
-    last level's search are only counted.
+    The chains on [n-1] are built, and the leaves of the search that
+    extends each to [n] are counted, with no order made; n <= 1 has one
+    class.
     """
     if not 0 <= n <= MAX_ENUM:
         raise ValueError(f"n must be in 0..{MAX_ENUM}, got {n}")
-    if n <= 5:
-        count = sum(1 for _ in enumerate_orders(n, mode="canonical"))
-    else:
-        count = sum(1 for chain in _chains(n - 1) for _ in _merge_leaves(chain, n))
+    if n <= 1:
+        return EnumerationResult(n=n, class_count=1)
+    count = sum(1 for chain in _chains(n - 1) for _ in _merge_leaves(chain, n))
     return EnumerationResult(n=n, class_count=count)

@@ -111,18 +111,18 @@ def _simplex(tab, basis, d, cost, k, dantzig=False):
         tab.pop()
 
 
-def _solve_eq(rows, c, d=1):
-    """min c.x, A x = b, x >= 0, on integer ``rows`` [A_i | b_i] over d > 0 and an integer cost c:
+def _solve_eq(rows, c):
+    """min c.x, A x = b, x >= 0, on integer ``rows`` [A_i | b_i] and an integer cost c:
     (status, d, x, objective), x and the objective numerators over d, or None."""
     m = len(rows)
     n = len(c)
     tab = [[-v for v in row] if row[n] < 0 else list(row) for row in rows]
     for i, row in enumerate(tab):
-        row[n:n] = [0] * m  # the artificial columns, d times the identity
-        row[n + i] = d
+        row[n:n] = [0] * m  # the artificial columns, the identity
+        row[n + i] = 1
     basis = [n + i for i in range(m)]
     # phase 1: drive out artificials
-    d, infeasibility = _simplex(tab, basis, d, [0] * n + [1] * m, 1)
+    d, infeasibility = _simplex(tab, basis, 1, [0] * n + [1] * m, 1)
     if infeasibility[0]:
         return "infeasible", d, None, None
     for r in range(m):

@@ -245,7 +245,7 @@ def flippable_count_histogram(n: int) -> dict[int, int]:
 
 
 def extension_chains_dict(chain: tuple[int, ...], n: int) -> Iterator[tuple[int, ...]]:
-    """Reference for ``enumeration._extension_chains``: the search on a dict.
+    """Reference for ``enumeration._merge_leaves``: the search on a dict.
 
     Each cross comparison fixed on the current branch is stored under its
     disjoint reduction, with an undo list per placement.
@@ -801,10 +801,10 @@ def solve_eq(A: Sequence[Sequence[int]], b: Sequence[Fraction], c: Sequence[Frac
     Returns (status, x, objective) with status one of "optimal",
     "infeasible", "unbounded"; x and the objective are Fractions.
     """
-    d = math.lcm(*[v.denominator for v in b])
-    scale = math.lcm(*[v.denominator for v in c])  # scaling c changes no pivot
+    d = math.lcm(*[v.denominator for v in b])  # scaling the rows changes no pivot
+    scale = math.lcm(*[v.denominator for v in c])  # nor does scaling c
     rows = [[d * index(v) for v in a] + [int(d * beta)] for a, beta in zip(A, b)]
-    status, d, x, obj = lp._solve_eq(rows, [int(v * scale) for v in c], d)
+    status, d, x, obj = lp._solve_eq(rows, [int(v * scale) for v in c])
     if x is None:
         return status, None, None
     return status, [Fraction(v, d) for v in x], Fraction(obj, d * scale)

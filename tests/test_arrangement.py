@@ -3,7 +3,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 from booltermorders import arrangement
@@ -130,6 +130,42 @@ def test_newton_interpolation_matches_lagrange_oracle(case, data):
     ys[i] += data.draw(st.sampled_from((1, -1)))
     assert _interpolate(xs, ys) is None
     assert any(c.denominator != 1 for c in lagrange_interpolate(list(zip(xs, ys))))
+
+
+def times_linear(coeffs, root):
+    """The coefficients of coeffs * (x - root), in descending degree."""
+    return [a - root * b for a, b in zip([*coeffs, 0], [0, *coeffs])]
+
+
+def has_integer_root(coeffs):
+    """Brute force: an integer root of a polynomial with a nonzero constant divides it."""
+    const = coeffs[-1]
+    return any(
+        sum(c * r ** (len(coeffs) - 1 - i) for i, c in enumerate(coeffs)) == 0
+        for r in range(-abs(const), abs(const) + 1)
+        if r
+    )
+
+
+@st.composite
+def products_with_integer_roots(draw):
+    """Integer roots (zero, negatives and repeats among them) and a monic factor with none."""
+    roots = draw(st.lists(st.integers(-12, 12), max_size=5))
+    tail = draw(st.lists(st.integers(-30, 30), max_size=3))
+    factor = [1, *tail]
+    assume(len(factor) == 1 or (factor[-1] and not has_integer_root(factor)))
+    return roots, tuple(factor)
+
+
+@given(products_with_integer_roots())
+@example(([0, 0, -3, 2, 2], (1, 0, 1)))
+@example(([5, -5, 1], (1,)))
+def test_integer_roots_splits_off_every_integer_root(case):
+    roots, factor = case
+    coeffs = list(factor)
+    for root in roots:
+        coeffs = times_linear(coeffs, root)
+    assert CharPoly(tuple(coeffs)).integer_roots() == (sorted(roots), factor)
 
 
 def max_det_pm1(k: int) -> int:

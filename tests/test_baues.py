@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from booltermorders import core
 from booltermorders.baues import (
     PartialTermOrder,
     _extreme_rays,
@@ -54,6 +55,21 @@ def test_from_total_roundtrip():
         p = PartialTermOrder.from_total(order)
         assert p.is_total()
         assert p.to_total() == order
+
+
+def test_conversions_carry_validity(monkeypatch):
+    """A conversion the library makes is not scanned again."""
+    scans = []
+    scan = core._first_violation
+    monkeypatch.setattr(core, "_first_violation", lambda *args: scans.append(args) or scan(*args))
+    order = order_from_weight((3, 5, 6, 7), 4)  # vouched by the weight
+    partial = PartialTermOrder.from_total(order)
+    assert find_weight(partial) == (3, 5, 6, 7)
+    assert find_weight(partial.to_total()) == (3, 5, 6, 7)
+    assert find_weight(PartialTermOrder.trivial(3)) == (0, 0, 0)
+    assert scans == []
+    assert find_weight(PartialTermOrder(order.n, order.level)) == (3, 5, 6, 7)
+    assert scans
 
 
 def test_level_constraints():

@@ -7,7 +7,7 @@ from booltermorders.cli import main
 from booltermorders.core import TermOrder, canonicalize
 from booltermorders.enumeration import (
     _chains,
-    _extension_chains,
+    _merge_leaves,
     count_orders,
     enumerate_orders,
 )
@@ -19,9 +19,11 @@ def test_class_counts_small(canonical_orders):
     assert [len(canonical_orders[n]) for n in range(1, 6)] == [1, 1, 2, 14, 546]
 
 
-def test_count_orders_totals():
-    for n in (1, 2, 3, 4):
+def test_count_orders_totals(canonical_orders):
+    # the leaf count agrees with the orders the search builds and checks
+    for n in (1, 2, 3, 4, 5):
         result = count_orders(n)
+        assert result.class_count == len(canonical_orders[n])
         assert result.total_count == result.class_count * math.factorial(n)
 
 
@@ -61,7 +63,7 @@ def test_empty_ground_set(capsys):
 
 def _n6_prefix_matches_dict_oracle(wanted):
     for parent in _chains(5):
-        got = list(itertools.islice(_extension_chains(parent, 6), wanted))
+        got = list(itertools.islice(map(tuple, _merge_leaves(parent, 6)), wanted))
         assert got == list(itertools.islice(extension_chains_dict(parent, 6), wanted))
         wanted -= len(got)
         if not wanted:
@@ -72,7 +74,7 @@ def test_bitset_search_matches_dict_oracle():
     """Chain for chain, in order: every extension for n <= 5, then n=6."""
     for n in range(2, 6):
         for parent in _chains(n - 1):
-            got = list(_extension_chains(parent, n))
+            got = list(map(tuple, _merge_leaves(parent, n)))
             assert got == list(extension_chains_dict(parent, n))
     _n6_prefix_matches_dict_oracle(500)
 

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from booltermorders.baues import PartialTermOrder
 from booltermorders.catalog import nonorder_localization_three, noncoherent_five
-from booltermorders.core import TermOrder, relabel
+from booltermorders.core import TermOrder, is_valid, relabel
 from booltermorders.enumeration import enumerate_orders
 from booltermorders.omatroid import (
     MAX_SIGNATURE,
@@ -189,3 +189,64 @@ def test_signature_is_bounded_in_n_before_enumerating():
     for n in (9, -1):
         with pytest.raises(ValueError, match=r"n must be in 0\.\.8 for a signature"):
             Signature(n, {})
+
+
+def antisymmetric_signings(n, nonnegative_positive):
+    """Every antisymmetric signing of B_n's cocircuits, one value per antipodal
+    pair; with ``nonnegative_positive``, every nonnegative vector is signed +."""
+    heads = [v for v in sign_vectors(n) if next(s for s in v if s) > 0]
+    fixed = {v: 1 for v in heads if nonnegative_positive and min(v) >= 0}
+    free = [v for v in heads if v not in fixed]
+    for values in itertools.product((1, 0, -1), repeat=len(free)):
+        yield Signature(n, {**fixed, **dict(zip(free, values))})
+
+
+def ordered_partitions(items):
+    """Every ordered partition of ``items`` into nonempty blocks."""
+    if not items:
+        yield []
+        return
+    for k in range(1, len(items) + 1):
+        for first in itertools.combinations(items, k):
+            rest = [x for x in items if x not in first]
+            for tail in ordered_partitions(rest):
+                yield [first, *tail]
+
+
+def converse_counts(n, nonnegative_positive):
+    """(signings, localizations, zero-free ones, passing the addition
+    conditions, zero-free ones, the level arrays rebuilt from those)."""
+    signings = list(antisymmetric_signings(n, nonnegative_positive))
+    local = [s for s in signings if check_localization(s)]
+    passing = [s for s in signings if check_mu_conditions(s)]
+    assert all(check_localization(s) for s in passing)
+    rebuilt = {rebuilt_levels(partial_order_from_signature, s) for s in passing} - {None}
+    zero_free = [sum(0 not in s.values.values() for s in group) for group in (local, passing)]
+    return len(signings), len(local), zero_free[0], len(passing), zero_free[1], rebuilt
+
+
+def test_converse_needs_the_nonnegative_vectors_signed_positive():
+    # the addition conditions alone let the empty set off the bottom: at n = 2,
+    # 17 of 81 signings pass them, and only 4 come from an order
+    signings, local, _, passing, _, rebuilt = converse_counts(2, False)
+    assert (signings, local, passing, len(rebuilt)) == (81, 17, 17, 4)
+    signings, local, _, passing, _, rebuilt = converse_counts(2, True)
+    assert (signings, local, passing, len(rebuilt)) == (3, 3, 3, 3)
+
+
+def test_converse_rebuilds_exactly_the_partial_orders_n3():
+    # with every nonnegative vector signed +, a signing comes from a partial
+    # order iff it passes the addition conditions; being a localization is not enough
+    *counts, rebuilt = converse_counts(3, True)
+    assert counts == [729, 45, 14, 31, 12]
+    # brute force: the ordered partitions of the seven nonempty subsets, above the empty set
+    orders = set()
+    for blocks in ordered_partitions(list(range(1, 8))):
+        level = [0] * 8
+        for i, block in enumerate(blocks, 1):
+            for mask in block:
+                level[mask] = i
+        if is_valid(PartialTermOrder(3, tuple(level))):
+            orders.add(tuple(level))
+    assert len(orders) == 31
+    assert rebuilt == orders
