@@ -463,10 +463,8 @@ def canonicalize(order: TermOrder) -> TermOrder:
     n = order.n
     singles = sorted(range(n), key=lambda i: order.rank[1 << i])
     # singles[j] is the old bit position that becomes bit position j
-    perm = [0] * n
-    for new_pos, old_pos in enumerate(singles):
-        perm[old_pos] = new_pos
-    return relabel(order, perm)
+    gather = (_gather if n <= 8 else _gather.__wrapped__)(tuple(map(singles.index, range(n))))
+    return _vouch(TermOrder(n, gather(order.rank)))  # skips relabel's check of this perm
 
 
 # ---------------------------------------------------------------------------

@@ -183,7 +183,8 @@ def _compose(x: SignVector, y: SignVector) -> SignVector:
 
 
 def check_mu_conditions(mu: Signature) -> MuReport:
-    """The addition conditions characterizing order signatures, 2 and 3.
+    """The addition conditions 2 and 3, which characterize the order signatures
+    among the signings with every nonnegative vector + (see the module docstring).
 
     Condition 1, antisymmetry, holds for every :class:`Signature`: its
     constructor rejects a map that breaks it, and :func:`mu_from_order`

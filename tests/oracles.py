@@ -30,9 +30,9 @@ from booltermorders.core import (
     full_mask,
     parse_subset,
     relabel,
+    submasks,
 )
-from booltermorders.enumeration import enumerate_orders
-from booltermorders.flips import flippable_pairs
+from booltermorders.flips import primitive_pairs
 from booltermorders.omatroid import (
     LocalizationReport,
     Signature,
@@ -235,13 +235,31 @@ def brute_force_orders(n: int) -> list[TermOrder]:
     return found
 
 
-def flippable_count_histogram(n: int) -> dict[int, int]:
-    """Histogram of flippable-pair counts over the classes of orders on [n]."""
-    hist: dict[int, int] = {}
-    for order in enumerate_orders(n, mode="canonical"):
-        k = len(flippable_pairs(order))
-        hist[k] = hist.get(k, 0) + 1
-    return dict(sorted(hist.items()))
+def _translates_consecutive(order: TermOrder, pair: DisjointPair) -> bool:
+    """Whether pair.left | l sits right below pair.right | l for every l."""
+    rank = order.rank
+    rest = full_mask(order.n) & ~(pair.left | pair.right)
+    return all(rank[pair.right | l] == rank[pair.left | l] + 1 for l in submasks(rest))
+
+
+def flippable_pairs_by_translates(order: TermOrder) -> list[DisjointPair]:
+    """Reference for ``flips.flippable_pairs``: each primitive pair's
+    2^|rest| translates looked up one at a time."""
+    return [pair for pair in primitive_pairs(order) if _translates_consecutive(order, pair)]
+
+
+def flip_by_translates(order: TermOrder, pair: DisjointPair) -> tuple[int, ...] | None:
+    """Reference for ``flips.flip`` on a nonempty left side: the rank array
+    with every translate swapped, or None where ``flip`` must refuse (a pair
+    outside [n], or a translate that is not consecutive)."""
+    full = full_mask(order.n)
+    if (pair.left | pair.right) & ~full or not _translates_consecutive(order, pair):
+        return None
+    rank = list(order.rank)
+    for l in submasks(full & ~(pair.left | pair.right)):
+        a, b = pair.left | l, pair.right | l
+        rank[a], rank[b] = rank[b], rank[a]
+    return tuple(rank)
 
 
 def extension_chains_dict(chain: tuple[int, ...], n: int) -> Iterator[tuple[int, ...]]:

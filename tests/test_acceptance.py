@@ -1,10 +1,12 @@
 """Acceptance suite: one criterion per test, one printed PASS line each.
 
-Extended (non-gating) runs at n = 6 are skipped unless BTO_EXTENDED=1.
+Extended (non-gating) runs at n = 6 are skipped unless BTO_EXTENDED=1;
+criteria 2 and 12 run at n = 6 in every run, on one shared flip graph.
 """
 
 import math
 import random
+from collections import Counter
 
 import pytest
 
@@ -42,7 +44,6 @@ from conftest import extended
 from oracles import (
     brute_force_orders,
     char_poly_mobius,
-    flippable_count_histogram,
     signature_from_positives,
 )
 
@@ -72,9 +73,14 @@ def test_criterion_01_extended_n6():
     print(f"ACCEPTANCE 1 (extended): PASS — n=6 classes {classes}, coherent {coherent}")
 
 
-@extended
-def test_criterion_02_flippable_distribution_n6():
-    hist = flippable_count_histogram(6)
+@pytest.fixture(scope="module")
+def flip_graph_6():
+    """The n=6 class flip graph, built once for criteria 2 and 12."""
+    return flip_graph(6, mode="canonical")
+
+
+def test_criterion_02_flippable_distribution_n6(flip_graph_6):
+    hist = dict(sorted(Counter(len(flippable_pairs(o)) for o in flip_graph_6.vertices).items()))
     expected = {
         5: 107,
         6: 14699,
@@ -87,7 +93,7 @@ def test_criterion_02_flippable_distribution_n6():
         13: 20,
     }
     assert hist == expected
-    print(f"ACCEPTANCE 2 (extended): PASS — n=6 flippable distribution {hist}")
+    print(f"ACCEPTANCE 2: PASS — n=6 flippable distribution {hist}")
 
 
 def test_criterion_03_noncoherence_certificate():
@@ -274,12 +280,24 @@ def test_criterion_12_flip_connectivity():
     print("ACCEPTANCE 12: PASS — class flip graph connected for n=2..5")
 
 
-@extended
-def test_criterion_12_extended_n6():
-    graph = flip_graph(6, mode="canonical")
+def test_criterion_12_flip_graph_n6(flip_graph_6):
+    graph = flip_graph_6
+    assert len(graph.vertices) == 169444
     assert graph.is_connected()
     assert sum(map(len, graph.adjacency)) // 2 == 663602
-    print("ACCEPTANCE 12 (extended): PASS — class flip graph connected at n=6, 663602 edges")
+    assert graph.degree_histogram() == {
+        4: 195,
+        5: 3212,
+        6: 19177,
+        7: 46030,
+        8: 52624,
+        9: 33235,
+        10: 12062,
+        11: 2563,
+        12: 326,
+        13: 20,
+    }
+    print("ACCEPTANCE 12: PASS — class flip graph connected at n=6, 663602 edges")
 
 
 def test_criterion_13_property_suites():

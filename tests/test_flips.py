@@ -1,8 +1,9 @@
 import itertools
+import random
 
 import pytest
 
-from booltermorders import core, enumeration
+from booltermorders import core, enumeration, flips
 from booltermorders.catalog import (
     coherence_isolated_six,
     five_facet_four,
@@ -29,7 +30,7 @@ from booltermorders.flips import (
     primitive_pairs,
     unit_order,
 )
-from oracles import relabel_image_table
+from oracles import flippable_pairs_by_translates, relabel_image_table
 
 
 def pair(l, r):
@@ -52,6 +53,23 @@ def test_five_facet_flippable_pairs():
         pair("4", "123"),
     ]
     assert got == expected
+
+
+def test_flippable_pairs_match_translate_oracle():
+    """The step-code count finds the pairs the translate lookups find, in rank
+    order: every labeling for n <= 4, the n=5 classes relabeled, the first
+    2000 n=6 classes, and lex orders above the cached tables (n = 10, 16)."""
+    rng = random.Random(33)
+    orders = [o for n in range(1, 5) for o in enumerate_orders(n, mode="all")]
+    orders += [relabel(o, rng.sample(range(5), 5)) for o in enumerate_orders(5, mode="canonical")]
+    orders += itertools.islice(enumerate_orders(6, mode="canonical"), 2000)
+    before = flips._mask_codes.cache_info()
+    for n in (10, 16):
+        lex = order_from_weight([1 << i for i in range(n)], n)
+        assert flippable_pairs(lex) == flippable_pairs_by_translates(lex)
+    assert flips._mask_codes.cache_info() == before  # built per call above n = 8
+    for order in orders:
+        assert flippable_pairs(order) == flippable_pairs_by_translates(order)
 
 
 def test_flip_involution():
@@ -220,6 +238,13 @@ def test_flip_graph_labeled_refuses_n6_before_enumerating(monkeypatch):
         flip_graph(6, mode="labeled")
     with pytest.raises(AssertionError, match="reached"):
         flip_graph(2, mode="labeled")
+
+
+def test_flip_graph_refuses_a_neighbor_outside_its_vertices(monkeypatch):
+    # a neighbor left uncanonicalized is proved canonical by the index lookup alone
+    monkeypatch.setattr(flips, "flip", lambda order, pair: relabel(order, (1, 0, 2)))
+    with pytest.raises(AssertionError, match=r"^the flip of class 0 across 1,2 < 3 is not a vertex$"):
+        flip_graph(3)
 
 
 @pytest.mark.parametrize("n, edges", [(1, 0), (2, 0), (3, 1), (4, 21), (5, 1457)])

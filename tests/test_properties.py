@@ -44,6 +44,7 @@ from booltermorders.coherence import (
     verify_certificate,
 )
 from booltermorders.core import (
+    DisjointPair,
     ParseError,
     TermOrder,
     canonicalize,
@@ -59,10 +60,12 @@ from booltermorders.core import (
 )
 from booltermorders.enumeration import enumerate_orders
 from booltermorders.flips import (
+    FlipError,
     deficient_extension,
     flip,
     flippable_pairs,
     lex_product,
+    primitive_pairs,
     unit_order,
 )
 from booltermorders.omatroid import (
@@ -79,6 +82,7 @@ from oracles import (
     difference_rows,
     extreme_rays_by_null_vectors,
     first_violation_list_scan,
+    flip_by_translates,
     rank2_extension_patterns,
     _fraction_pivot,
     fraction_solve_eq,
@@ -430,6 +434,36 @@ def walked_orders(draw):
             break
         order = flip(order, draw(st.sampled_from(pairs)))
     return order
+
+
+@st.composite
+def walked_orders_and_pairs(draw):
+    """A walked order and a disjoint pair: one of its primitive pairs, or any
+    pair of masks on one element more than the order has."""
+    order = draw(walked_orders())
+    primitive = primitive_pairs(order)
+    if primitive and draw(st.booleans()):
+        return order, draw(st.sampled_from(primitive))
+    left = draw(st.integers(0, (2 << order.n) - 1))
+    right = draw(st.integers(0, (2 << order.n) - 1)) & ~left
+    assume(left or right)
+    return order, DisjointPair(left, right)
+
+
+@given(walked_orders_and_pairs())
+def test_flip_refuses_exactly_the_pairs_the_translate_oracle_rejects(order_and_pair):
+    order, pair = order_and_pair
+    if pair.left == 0:
+        with pytest.raises(FlipError, match="^cannot flip a pair with empty left side$"):
+            flip(order, pair)
+        return
+    swapped = flip_by_translates(order, pair)
+    if swapped is None:
+        with pytest.raises(FlipError) as err:
+            flip(order, pair)
+        assert str(err.value) == f"pair {pair} is not flippable in this order"
+    else:
+        assert flip(order, pair).rank == swapped
 
 
 @given(walked_orders())
