@@ -21,6 +21,7 @@ import operator
 from collections.abc import Iterable, Iterator, Sequence
 
 MAX_GROUND = 16
+_BYTES = bytes(range(256))  # the identity translation table, sliced to any length up to 256
 
 
 class OrderError(ValueError):
@@ -235,10 +236,11 @@ class TermOrder(LevelArray, _Frozen):
 
     The constructor only checks the shape; use :func:`validate` to test the
     order axioms.  Instances are immutable and hashable.  :func:`is_valid`
-    memoizes its answer as ``_valid`` in ``__dict__``, which equality, hash
-    and repr ignore.  A relabeling copies the memo; a flip, lex product,
-    deficient extension, weight vector or n > 5 search sets it, as each
-    keeps validity.  So an order is scanned once, where it enters.
+    memoizes its answer as ``_valid`` in ``__dict__``, and :attr:`chain` the
+    chain as ``_chain`` (``bytes`` for n <= 8), both ignored by equality, hash
+    and repr.  A relabeling copies them; a flip, lex product, deficient
+    extension, weight vector or n > 5 search sets ``_valid``, as each keeps
+    validity.  So an order is scanned once, where it enters.
     """
 
     _fields = ("n", "rank")
@@ -248,11 +250,12 @@ class TermOrder(LevelArray, _Frozen):
 
     @classmethod
     def from_chain(cls, n: int, chain: Sequence[int]) -> "TermOrder":
-        """Build from the list of subset masks in increasing order."""
-        rank = [0] * len(chain)
-        for pos, mask in enumerate(chain):
-            rank[mask] = pos
-        return cls(n, tuple(rank))
+        """Build from the list of subset masks in increasing order, which the order keeps."""
+        if sorted(chain) != list(range(len(chain))):
+            raise OrderError(f"the chain is not a permutation of 0..{len(chain) - 1}")
+        order = cls(n, _inverse(chain))
+        order.__dict__["_chain"] = bytes(chain) if len(chain) <= 256 else tuple(chain)
+        return order
 
     @property
     def level(self) -> tuple[int, ...]:
@@ -260,11 +263,18 @@ class TermOrder(LevelArray, _Frozen):
 
     @property
     def chain(self) -> tuple[int, ...]:
-        """Subset masks in rank order."""
-        inv = [0] * len(self.rank)
-        for mask, r in enumerate(self.rank):
-            inv[r] = mask
-        return tuple(inv)
+        """Subset masks in rank order, built once and kept."""
+        chain = self.__dict__.get("_chain")
+        if chain is None:
+            chain = self.__dict__["_chain"] = _inverse(self.rank)
+        return tuple(chain)
+
+
+def _inverse(perm: Sequence[int]) -> bytes | tuple[int, ...]:
+    """The inverse of a permutation of 0..len-1, unchecked: by one ``maketrans`` up to 256."""
+    if len(perm) <= 256:
+        return bytes.maketrans(bytes(perm), _BYTES[: len(perm)])[: len(perm)]
+    return tuple(sorted(range(len(perm)), key=perm.__getitem__))
 
 
 class ValidationReport(_Verdict):
@@ -389,7 +399,7 @@ def union_violation(level: Sequence[int], n: int) -> tuple[int, int, int] | None
     size = 1 << n
     for sign in (1, -1):
         chain = sorted(range(size), key=lambda m: (level[m], sign * m))
-        found = _first_violation(level, TermOrder.from_chain(n, chain).rank, chain, n)
+        found = _first_violation(level, _inverse(chain), chain, n)
         if found is not None:
             return found
     return None
@@ -431,16 +441,20 @@ def require_valid(order) -> None:
 def relabel(order: TermOrder, perm: Sequence[int]) -> TermOrder:
     """Relabel ground elements; perm maps bit position i to perm[i]."""
     n = order.n
-    if sorted(perm) != list(range(n)):
-        raise ValueError(f"perm must be a permutation of 0..{n - 1}, got {list(perm)}")
-    gather = (_gather if n <= 8 else _gather.__wrapped__)(tuple(perm))
-    return _vouch(TermOrder(n, gather(order.rank)), order.__dict__.get("_valid"))
+    gather, table = (_gather if n <= 8 else _gather.__wrapped__)(tuple(perm), n)
+    moved = _vouch(TermOrder(n, gather(order.rank)), order.__dict__.get("_valid"))
+    if table and "_chain" in order.__dict__:  # a kept chain, as bytes
+        moved.__dict__["_chain"] = order.__dict__["_chain"].translate(table)
+    return moved
 
 
 @functools.lru_cache(maxsize=1024)
-def _gather(perm: tuple[int, ...]):
-    """The relabeling by ``perm`` as one gather of the rank array; cached for
-    n <= 8 (all 720 n = 6 permutations fit, about 2.5 MB at n = 8)."""
+def _gather(perm: tuple[int, ...], n: int):
+    """The relabeling by a permutation ``perm`` of 0..n-1, checked, as one gather of the rank
+    array and a table of new masks; cached for n <= 8 (all 720 n = 6 permutations fit, about
+    2.8 MB at n = 8), so a permutation is checked once."""
+    if sorted(perm) != list(range(n)):
+        raise ValueError(f"perm must be a permutation of 0..{n - 1}, got {list(perm)}")
     old_pos = [0] * len(perm)
     for i, j in enumerate(perm):
         old_pos[j] = i
@@ -448,7 +462,8 @@ def _gather(perm: tuple[int, ...]):
     source = [0]
     for i in old_pos:
         source += [m | 1 << i for m in source]
-    return operator.itemgetter(*source) if perm else tuple  # one index gives a scalar
+    table = bytes.maketrans(bytes(source), _BYTES[: len(source)]) if n <= 8 else None
+    return (operator.itemgetter(*source) if perm else tuple), table  # one index gives a scalar
 
 
 def canonicalize(order: TermOrder) -> TermOrder:
@@ -460,11 +475,9 @@ def canonicalize(order: TermOrder) -> TermOrder:
     remaining singleton rank is the free choice.
     """
     require_valid(order)
-    n = order.n
-    singles = sorted(range(n), key=lambda i: order.rank[1 << i])
+    singles = sorted(range(order.n), key=lambda i: order.rank[1 << i])
     # singles[j] is the old bit position that becomes bit position j
-    gather = (_gather if n <= 8 else _gather.__wrapped__)(tuple(map(singles.index, range(n))))
-    return _vouch(TermOrder(n, gather(order.rank)))  # skips relabel's check of this perm
+    return relabel(order, tuple(map(singles.index, range(order.n))))
 
 
 # ---------------------------------------------------------------------------
@@ -524,6 +537,9 @@ def read_levels(text: str) -> tuple[int, tuple[int, ...]]:
     if not 0 <= n <= MAX_GROUND:
         raise ParseError(f"n={n} out of range 0..{MAX_GROUND}", header_no)
     names = (_subset_names if n <= 8 else _subset_names.__wrapped__)(n)
+    chain = list(map(names.get, [body for _, body in lines]))  # None: a tie, a spelling or a fault
+    if None not in chain and len(set(chain)) == len(chain) == 1 << n:
+        return n, tuple(_inverse(chain))
     level = [0] * (1 << n)
     seen = set()
     for lvl, (no, body) in enumerate(lines):

@@ -8,6 +8,15 @@ each class of pairs with the same disjoint reduction, which the search
 enforces incrementally on bitsets of those reductions.  For n <= 5 every
 emitted order is also scanned by :func:`is_valid`; above, it is marked valid.
 
+Only half of each merge is searched.  Every order ranks a subset and its
+complement at mirrored places, rank(S) + rank([n] - S) = 2^n - 1, and the
+complement of the i-th set of the first chain is the (m-1-i)-th set of the
+second.  So the search stops where m of the 2m sets are placed and fills
+the rest in as the complements of the first half, mirrored: each cross
+comparison the second half fixes has the reduction and the direction of
+its mirror image in the first, so no placement there is ever pruned, and
+the leaves come in the order of the full search (about 8x fewer nodes).
+
 Class representatives are the canonical orders (singleton ranks increasing),
 so canonical-only enumeration just constrains where the new singleton {n}
 may enter.  Stabilizers are trivial, so total counts are class counts
@@ -18,7 +27,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from collections.abc import Iterator
+from collections.abc import Iterator, Sequence
 
 from .core import TermOrder, _Frozen, _vouch, is_valid, relabel
 
@@ -36,10 +45,10 @@ class EnumerationResult(_Frozen):
         return self.class_count * math.factorial(self.n)
 
 
-_BASE_CHAINS = {0: (0,), 1: (0, 1)}
+_BASE_CHAINS = {0: b"\0", 1: b"\0\1"}
 
 
-def _cross_keys(chain: tuple[int, ...], n: int) -> tuple[list[list[int]], list[list[int]]]:
+def _cross_keys(chain: Sequence[int], n: int) -> tuple[list[list[int]], list[list[int]]]:
     """Bitsets of the cross comparisons that each placement fixes.
 
     Chain A is ``chain``, chain B is ``chain`` lifted by {n}.  The pair (a,
@@ -60,43 +69,47 @@ def _cross_keys(chain: tuple[int, ...], n: int) -> tuple[list[list[int]], list[l
     return key_a, key_b
 
 
-def _merge_leaves(chain: tuple[int, ...], n: int) -> Iterator[list[int]]:
+def _merge_leaves(chain: Sequence[int], n: int) -> Iterator[bytearray]:
     """Canonical interleavings of chain and chain|{n}: valid orders on [n].
 
     ``chain`` lists the subsets of [n-1] in order.  A cross comparison is
     fixed when the first of its two sets is placed: its key joins T (A set
     below) or F (A set above), and a key in both prunes the branch.  A node
     (i, j, T, F) has placed chain[:i] and j sets of B; the first set placed
-    is the empty set of A, which puts every a below a|{n}.  Each leaf yields
-    the same list, refilled, so a caller copies what it keeps.
+    is the empty set of A, which puts every a below a|{n}.  A node on the
+    anti-diagonal i + j = m is a leaf: ``out[2m-1-k] = full ^ out[k]`` (see
+    the module docstring).  Each leaf yields the same bytearray, refilled,
+    so a caller copies what it keeps.
     """
     m = len(chain)
     key_a, key_b = _cross_keys(chain, n)
     lifted = [b | 1 << (n - 1) for b in chain]
     # canonical extensions keep the singleton {n} after the singleton {n-1}
     gate = chain.index(1 << (n - 2))
-    out = [0] * (2 * m)
+    mirror = bytes(range(2 * m - 1, -1, -1)).ljust(256, b"\0")  # mask -> full ^ mask
+    out = bytearray(2 * m)
     stack = [(0, 0, 0, 0, 0)]  # depth first, A before B, with the set placed last
     while stack:
         i, j, T, F, placed = stack.pop()
         if i + j:
             out[i + j - 1] = placed
-        if j < m and (j or i > gate) and not key_b[j][i] & T:
+            if i + j == m:
+                out[m:] = out[m - 1 :: -1].translate(mirror)
+                yield out
+                continue
+        if (j or i > gate) and not key_b[j][i] & T:  # i + j < m: both chains have sets left
             stack.append((i, j + 1, T, F | key_b[j][i], lifted[j]))
-        if i < m:
-            if not key_a[i][j] & F:
-                stack.append((i + 1, j, T | key_a[i][j], F, chain[i]))
-        elif j == m:
-            yield out
+        if not key_a[i][j] & F:
+            stack.append((i + 1, j, T | key_a[i][j], F, chain[i]))
 
 
-def _chains(n: int) -> Iterator[tuple[int, ...]]:
-    """Chains of the canonical orders on [n]."""
+def _chains(n: int) -> Iterator[bytes]:
+    """Chains of the canonical orders on [n], as ``bytes`` (n <= MAX_ENUM)."""
     if n <= 1:
         yield _BASE_CHAINS[n]
         return
     for chain in _chains(n - 1):
-        yield from map(tuple, _merge_leaves(chain, n))
+        yield from map(bytes, _merge_leaves(chain, n))
 
 
 def enumerate_orders(n: int, mode: str = "all") -> Iterator[TermOrder]:

@@ -4,7 +4,7 @@ A primitive pair is a disjoint pair occupying consecutive ranks; a
 flippable pair additionally has every disjoint-union translate consecutive.
 Flipping swaps all translates at once and yields another valid order that
 agrees with the original on every other disjoint comparison.  Flippable pairs come from
-one count of the chain's step codes; the n = 6 class flip graph takes 12 s on 2 cores.
+one count of the chain's step codes; the n = 6 class flip graph takes 11 s on 2 cores.
 """
 
 from __future__ import annotations

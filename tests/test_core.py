@@ -59,6 +59,13 @@ def test_invalid_chain_rejected():
         TermOrder(2, (0, 1, 2))  # wrong length
 
 
+def test_from_chain_refuses_a_chain_that_is_not_a_permutation():
+    # -1 would index mask 3, and 5 lies past the end of the rank array
+    for chain in ([0, 1, 2, -1], [0, 1, 2, 5], [0, 1, 1, 3]):
+        with pytest.raises(OrderError, match="not a permutation"):
+            TermOrder.from_chain(2, chain)
+
+
 def test_validate_catches_union_violation():
     # swap {1,3} and {2,3}: then 1 < 2 but 2,3 < 1,3
     chain = [0b000, 0b001, 0b010, 0b011, 0b100, 0b110, 0b101, 0b111]
@@ -254,9 +261,11 @@ def test_relabel_moves_elements():
     ],
 )
 def test_relabel_rejects_non_permutations(perm):
+    relabel(lex_order(2), [0, 1])  # checked and cached as a permutation for n = 2, not for n = 3
     order = lex_order(3)
-    with pytest.raises(ValueError, match=r"perm must be a permutation of 0\.\.2, got "):
-        relabel(order, perm)
+    for _ in range(2):  # a refusal is not cached
+        with pytest.raises(ValueError, match=r"perm must be a permutation of 0\.\.2, got "):
+            relabel(order, perm)
 
 
 def test_complement_duality():

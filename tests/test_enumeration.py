@@ -1,5 +1,7 @@
+import hashlib
 import itertools
 import math
+import random
 
 import pytest
 
@@ -86,3 +88,21 @@ def test_bitset_search_matches_dict_oracle_n6():
 
 def test_count_orders_n6():
     assert count_orders(6).class_count == 169444
+
+
+def test_n6_chain_stream_digest():
+    """The half search yields the full search's 169444 n=6 chains, in order."""
+    digest = hashlib.sha256()
+    for chain in _chains(6):
+        digest.update(bytes(chain))
+    assert digest.hexdigest() == "32dd442c35eba0338c7a55da112cb1044a1c5bb22dec695dc7eeebc165061187"
+
+
+@extended
+def test_half_search_matches_dict_oracle_n7():
+    """Chain for chain, in order, on a seeded sample of n=6 parents."""
+    wanted = set(random.Random(7).sample(range(169444), 4))  # about 50 s each
+    for k, parent in enumerate(_chains(6)):
+        if k in wanted:
+            got = list(map(tuple, _merge_leaves(parent, 7)))
+            assert got == list(extension_chains_dict(parent, 7))

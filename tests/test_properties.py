@@ -659,6 +659,57 @@ def test_first_n7_classes_are_valid_afresh():
         assert_valid_afresh(order)
 
 
+def inverse_of(rank):
+    """The chain of a rank array, by a scatter of its own."""
+    chain = [None] * len(rank)
+    for mask, r in enumerate(rank):
+        chain[r] = mask
+    return tuple(chain)
+
+
+@st.composite
+def chain_keeping_orders(draw):
+    """Orders from an enumerated class or any permutation on n <= 6, or the
+    n = 9 lex order, made by from_chain and relabel, which keep or carry a
+    chain, by parse_order, whose chain is built on first use, and, from a
+    valid one, by canonicalize and flip.  Each comes with whether it held a
+    chain when it was made, and whether it must have."""
+    n = draw(st.sampled_from([0, 1, 2, 3, 4, 5, 6, 6, 6, 9]))
+    if n == 9:
+        chain = range(1 << n)
+    elif draw(st.booleans()):
+        chain = draw(st.sampled_from(enumerated_classes(n))).chain
+    else:
+        chain = draw(st.permutations(range(1 << n)))
+    made = []
+
+    def keep(order, kept):
+        made.append((order, "_chain" in vars(order), kept))
+        return order
+
+    order = keep(TermOrder.from_chain(n, chain), True)
+    keep(parse_order(serialize_order(order)), False)
+    moved = keep(relabel(order, draw(st.permutations(range(n)))), n <= 8)
+    if is_valid(order):
+        keep(canonicalize(moved), n <= 8)
+        pairs = [pair for pair in flippable_pairs(moved) if pair.left]
+        if pairs:
+            keep(flip(moved, draw(st.sampled_from(pairs))), False)
+    return made
+
+
+@given(chain_keeping_orders())
+def test_kept_chains_match_the_rank(made):
+    """A kept or carried chain is the rank array's inverse, and the memo
+    leaves equality, hash and repr as a fresh order has them."""
+    for order, held, kept in made:
+        assert held is kept
+        assert order.chain == inverse_of(order.rank)
+        assert type(vars(order)["_chain"]) is (bytes if order.n <= 8 else tuple)
+        fresh = TermOrder(order.n, order.rank)
+        assert order == fresh and hash(order) == hash(fresh) and repr(order) == repr(fresh)
+
+
 @st.composite
 def sign_matrices(draw):
     n = draw(st.integers(0, 4))
@@ -983,12 +1034,44 @@ def order_texts(draw):
     return "\n".join(lines)
 
 
-file_texts = st.one_of(st.text(max_size=60), order_texts())
+@st.composite
+def order_files(draw):
+    """A written order file on n <= 6, then edited: other spellings, '='
+    ties, comments, blank lines, no header, and one random mutation."""
+    n = draw(st.integers(0, 6))
+    if draw(st.booleans()):
+        chain = draw(st.sampled_from(enumerated_classes(n))).chain
+    else:
+        chain = draw(st.permutations(range(1 << n)))
+    lines = list(map(format_subset, chain))
+    at = st.integers(0, len(lines) - 1)
+    for i in draw(st.sets(at, max_size=3)):
+        lines[i] = draw(spellings(chain[i]))
+    for i in sorted(draw(st.sets(at, max_size=3)), reverse=True):
+        if i:
+            lines[i - 1 : i + 1] = [draw(st.sampled_from(["=", " = "])).join(lines[i - 1 : i + 1])]
+    for i in draw(st.sets(st.integers(0, len(lines) - 1), max_size=2)):
+        lines[i] += " # comment"
+    for _ in range(draw(st.integers(0, 2))):
+        lines.insert(draw(st.integers(0, len(lines))), draw(st.sampled_from(["", "  ", "# note"])))
+    if draw(st.booleans()):
+        lines.insert(0, f"n={n}")
+    text = "\n".join(lines) + "\n"
+    if draw(st.booleans()):
+        pos = draw(st.integers(0, len(text) - 1))
+        cut = draw(st.integers(0, 1))
+        text = text[:pos] + draw(st.sampled_from(list("0123456789,-=#n \n") + [""])) + text[pos + cut :]
+    return text
+
+
+file_texts = st.one_of(st.text(max_size=60), order_texts(), order_files())
 
 
 @given(file_texts)
 @example("n=3\n-\n+1\n02\n 1 , 2 \n3\n1,3\n2,3\n1,2,3")
 @example("n=2\n-\n1\n2 = 01\n1,2")  # the duplicate is found through parse_subset
+@example("n=2\n-\n1\n1\n1,2\n")  # every line in the name table, one named twice
+@example("# lex order on [2]\nn=2\n\n-   # empty set\n01\n2\n1,2\n")
 def test_any_text_parses_or_raises_parse_error(text):
     try:
         expected = read_levels_scan(text)
