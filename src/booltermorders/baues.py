@@ -4,15 +4,14 @@ A partial term order is an ordered partition of the subsets of [n] into
 levels, with the empty set alone at the bottom, that is compatible with
 disjoint unions: for disjoint gamma, the comparison of alpha and beta
 (below, same level, above) is preserved when both sides gain gamma.
-Total orders are the tie-free case and share ``core``'s level-array
-checks and ``coherence``'s weight answer, so ``validate_partial``,
-``serialize_partial``, ``find_partial_weight`` and ``is_coherent_partial``
-are ``core.validate``, ``core.serialize_order``, ``coherence.find_weight``
-and ``coherence.is_coherent``; weight vectors induce partial orders by
-grouping equal subset sums.  Above a total order, whether any nontrivial
-coherent partial order lies is one lex-min solve of the order's weight
-cone plus a recheck of the point it finds; the list of those orders comes
-from the cone's positive extreme rays, by double description.
+Total orders are the tie-free case: ``core.validate``,
+``core.serialize_order``, ``coherence.find_weight`` and
+``coherence.is_coherent`` take either kind, and weight vectors induce
+partial orders by grouping equal subset sums.  Above a total order,
+whether any nontrivial coherent partial order lies is one lex-min solve
+of the order's weight cone plus a recheck of the point it finds; the
+list of those orders comes from the cone's positive extreme rays, by
+double description.
 """
 
 from __future__ import annotations
@@ -30,19 +29,7 @@ from .core import (
     _vouch,
     read_levels,
     require_valid,
-    serialize_order,
     structural_fault,
-    validate,
-)
-from .coherence import (
-    _coprime,
-    _exact,
-    _induced_level,
-    _lex_min,
-    _program,
-    _weight_sums,
-    find_weight,
-    is_coherent,
 )
 
 
@@ -56,7 +43,7 @@ class PartialTermOrder(LevelArray, _Frozen):
     ``level[mask]`` is the 0-based level of the subset.  The constructor
     checks the shape and the structure (:func:`core.structural_fault`):
     levels are contiguous and the empty set sits alone at level 0, except
-    in the trivial one-level partition.  Use :func:`validate_partial` for
+    in the trivial one-level partition.  Use :func:`core.validate` for
     the union axiom.
     """
 
@@ -78,6 +65,7 @@ class PartialTermOrder(LevelArray, _Frozen):
     def from_weight(cls, weights: Sequence) -> "PartialTermOrder":
         """Partial order grouping equal weight sums, valid once the constructor
         accepts it: w(a) < w(b) iff w(a + g) < w(b + g) for g disjoint from both."""
+        from .coherence import _exact, _induced_level
         return _vouch(cls(len(weights), _induced_level(_exact(weights))))
 
     @classmethod
@@ -89,13 +77,6 @@ class PartialTermOrder(LevelArray, _Frozen):
         if not self.is_total():
             raise OrderError("partial order has ties; not a total order")
         return _vouch(TermOrder(self.n, self.level), self.__dict__.get("_valid"))
-
-
-# one validator, one writer and one weight answer serve total and partial orders
-validate_partial = validate
-serialize_partial = serialize_order
-find_partial_weight = find_weight
-is_coherent_partial = is_coherent
 
 
 def refines(fine: PartialTermOrder, coarse: PartialTermOrder) -> bool:
@@ -129,6 +110,7 @@ def _extreme_rays(rows, n: int) -> list[tuple[int, ...]]:
     gcd-reduced integer vector with the bitmask of its tight constraints:
     bit i for w_i >= 0, bit n + k for the k-th row that cuts.
     """
+    from .coherence import _coprime
     rays = [
         (tuple(int(i == j) for j in range(n)), ((1 << n) - 1) & ~(1 << i)) for i in range(n)
     ]
@@ -169,6 +151,7 @@ def _positive_rays(order: TermOrder) -> list[tuple[int, ...]]:
     its coordinates are positive, and some point is positive iff some
     extreme ray is.
     """
+    from .coherence import _program
     require_valid(order)
     return [ray for ray in _extreme_rays(_program(order)[1], order.n) if all(ray)]
 
@@ -188,6 +171,7 @@ def coherent_above_only_trivial(order: TermOrder) -> bool:
     :func:`coherent_coarsenings_nontrivial`, which lists them.  At n = 0
     the empty set is the only subset, so no partition is nontrivial.
     """
+    from .coherence import _lex_min, _weight_sums
     require_valid(order)
     n, level = order.n, order.level
     if n == 0:
@@ -223,7 +207,7 @@ def parse_partial(text: str) -> PartialTermOrder:
 
     A malformed file raises :class:`ParseError`; well-formed levels that
     are not a partial term order raise :class:`PartialOrderError`, with
-    :func:`validate_partial`'s reason.
+    :func:`core.validate`'s reason.
     """
     n, level = read_levels(text)
     try:

@@ -251,10 +251,15 @@ class TermOrder(LevelArray, _Frozen):
     @classmethod
     def from_chain(cls, n: int, chain: Sequence[int]) -> "TermOrder":
         """Build from the list of subset masks in increasing order, which the order keeps."""
-        if sorted(chain) != list(range(len(chain))):
+        try:  # up to 256 masks: a permutation is what the inverse's own table maps onto 0..len-1
+            table = bytes.maketrans(kept := bytes(chain), _BYTES[: len(chain)])
+            ok = kept.translate(table, _BYTES[len(chain) :]) == _BYTES[: len(chain)]
+        except ValueError:  # a mask outside 0..255, or more than 256 masks
+            kept, table, ok = tuple(chain), None, sorted(chain) == list(range(len(chain)))
+        if not ok:
             raise OrderError(f"the chain is not a permutation of 0..{len(chain) - 1}")
-        order = cls(n, _inverse(chain))
-        order.__dict__["_chain"] = bytes(chain) if len(chain) <= 256 else tuple(chain)
+        order = cls(n, _inverse(kept) if table is None else table[: len(chain)])
+        order.__dict__["_chain"] = kept
         return order
 
     @property

@@ -23,6 +23,7 @@ import functools
 import itertools
 from collections.abc import Mapping
 
+from .baues import PartialTermOrder
 from .core import _Verdict, is_valid
 
 SignVector = tuple[int, ...]
@@ -221,8 +222,6 @@ def partial_order_from_signature(mu: Signature):
     empty set is not alone at the bottom (a nonnegative vector is not
     signed +), and ValueError is raised.
     """
-    from .baues import PartialTermOrder
-
     n = mu.n
     values = mu.values
 

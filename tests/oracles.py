@@ -333,7 +333,7 @@ def validate_partial_quadruples(order: PartialTermOrder) -> ValidationReport:
 
     Whenever a + c and b + d share a level (or coincide), with a disjoint
     from c and b disjoint from d, a strict comparison level(b) < level(a)
-    must force level(c) < level(d).  Cross-checks ``validate_partial``
+    must force level(c) < level(d).  Cross-checks ``validate``
     by an independent route; 16^n splitting pairs, so small n only.
     """
     level = order.level

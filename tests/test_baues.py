@@ -11,12 +11,8 @@ from booltermorders.baues import (
     _positive_rays,
     coherent_above_only_trivial,
     coherent_coarsenings_nontrivial,
-    find_partial_weight,
-    is_coherent_partial,
     parse_partial,
     refines,
-    serialize_partial,
-    validate_partial,
 )
 from booltermorders.catalog import (
     five_facet_four,
@@ -29,7 +25,15 @@ from booltermorders.coherence import (
     is_coherent,
     order_from_weight,
 )
-from booltermorders.core import OrderError, ParseError, TermOrder, full_mask, submasks
+from booltermorders.core import (
+    OrderError,
+    ParseError,
+    TermOrder,
+    full_mask,
+    serialize_order,
+    submasks,
+    validate,
+)
 from booltermorders.enumeration import enumerate_orders
 from booltermorders.flips import deficient_extension, flip, flippable_pairs
 from booltermorders.omatroid import mu_from_order, partial_order_from_signature
@@ -84,12 +88,12 @@ def test_level_constraints():
 def test_validate_partial_routes_agree():
     # both validation routes agree on valid and invalid inputs
     good = PartialTermOrder.from_weight((1, 2, 4))
-    assert validate_partial(good) and validate_partial_quadruples(good)
+    assert validate(good) and validate_partial_quadruples(good)
     tied = PartialTermOrder.from_weight((1, 1, 3))
-    assert validate_partial(tied) and validate_partial_quadruples(tied)
+    assert validate(tied) and validate_partial_quadruples(tied)
     # {1}={1,2} tie without {-}={2} tie breaks the union axiom
     bad = PartialTermOrder(2, (0, 1, 2, 1))
-    assert not validate_partial(bad)
+    assert not validate(bad)
     assert not validate_partial_quadruples(bad)
     # all 13 ordered partitions of the nonempty subsets of [2] above the empty set
     partitions = {
@@ -99,7 +103,7 @@ def test_validate_partial_routes_agree():
     assert len(partitions) == 13
     for level in partitions:
         order = PartialTermOrder(2, level)
-        report = validate_partial(order)
+        report = validate(order)
         assert report.ok == validate_partial_quadruples(order).ok
         assert len(report.violations) == (not report.ok)
         for triple in report.violations:
@@ -119,24 +123,24 @@ def test_refinement():
 
 def test_partial_weight_roundtrip():
     p = PartialTermOrder.from_weight((2, 3, 3))
-    w = find_partial_weight(p)
+    w = find_weight(p)
     assert w is not None
     assert PartialTermOrder.from_weight(w).level == p.level
-    assert is_coherent_partial(p)
+    assert is_coherent(p)
 
 
 def test_partial_weight_of_total_orders():
     # a total order is the all-singleton partial order: same lex-min weight
     for order in enumerate_orders(4, mode="canonical"):
-        assert find_partial_weight(PartialTermOrder.from_total(order)) == find_weight(order)
-    assert find_partial_weight(PartialTermOrder.from_total(noncoherent_five())) is None
+        assert find_weight(PartialTermOrder.from_total(order)) == find_weight(order)
+    assert find_weight(PartialTermOrder.from_total(noncoherent_five())) is None
 
 
 def test_trivial_partial_order_is_coherent():
     for n in range(4):
         trivial = PartialTermOrder.trivial(n)
-        assert find_partial_weight(trivial) == (0,) * n
-        assert is_coherent_partial(trivial)
+        assert find_weight(trivial) == (0,) * n
+        assert is_coherent(trivial)
 
 
 def test_rigid_test_edge_cases():
@@ -194,7 +198,7 @@ def test_nonrigid_orders_have_coarsenings():
         order = make()
         assert not coherent_above_only_trivial(order)
         found = coherent_coarsenings_nontrivial(order)
-        assert [find_partial_weight(coarse) for coarse in found] == pinned
+        assert [find_weight(coarse) for coarse in found] == pinned
         assert [PartialTermOrder.from_weight(ray) for ray in pinned] == found
         levels = [coarse.levels for coarse in found]
         assert all(old in levels for old in BOX_LP_COARSENINGS[make])
@@ -211,7 +215,7 @@ def check_coarsenings(order) -> int:
     rays = _positive_rays(order)
     assert rays == [ray for ray in _extreme_rays(rows, order.n) if all(ray)]
     found = coherent_coarsenings_nontrivial(order)
-    weights = [find_partial_weight(coarse) for coarse in found]
+    weights = [find_weight(coarse) for coarse in found]
     assert None not in weights and weights == sorted(weights) == rays
     fine = PartialTermOrder.from_total(order)
     for coarse in found:
@@ -302,7 +306,7 @@ def check_walls(orders) -> int:
     for order in orders:
         for pair, wall in walls(order):
             count += 1
-            weight = find_partial_weight(wall)
+            weight = find_weight(wall)
             assert (weight is not None) == (is_coherent(order) and is_coherent(flip(order, pair)))
     return count
 
@@ -318,7 +322,7 @@ def test_walls_are_coherent_iff_both_sides_are_n5(canonical_orders):
 
 def test_parse_serialize_roundtrip():
     p = PartialTermOrder.from_weight((1, 1, 3))
-    assert parse_partial(serialize_partial(p)).level == p.level
+    assert parse_partial(serialize_order(p)).level == p.level
 
 
 def test_parse_partial_rejects_invalid():

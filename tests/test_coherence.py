@@ -13,8 +13,6 @@ import pytest
 from booltermorders.baues import (
     PartialTermOrder,
     coherent_above_only_trivial,
-    find_partial_weight,
-    is_coherent_partial,
 )
 from booltermorders.catalog import (
     coherence_isolated_six,
@@ -94,7 +92,7 @@ def assert_matches_full_rows(order):
     """Distinct comparisons decide, weigh and certify as every row does."""
     weight = lex_min_weight_full_rows(order)
     if isinstance(order, PartialTermOrder):
-        assert find_partial_weight(order) == weight
+        assert find_weight(order) == weight
         return
     assert is_coherent(order) == (weight is not None)
     assert find_weight(order) == weight
@@ -254,11 +252,9 @@ def test_weight_route_refuses_an_invalid_partial_order():
     # {} < {1} < {2} = {1,2}: adding {2} to the step {} < {1} gives a tie
     order = PartialTermOrder(2, (0, 1, 2, 2))
     reason = validate(order).reason
-    for answer in (find_weight, is_coherent, find_partial_weight, is_coherent_partial):
+    for answer in (find_weight, is_coherent):
         with pytest.raises(OrderError, match=re.escape(reason)):
             answer(order)
-    assert find_partial_weight is find_weight
-    assert is_coherent_partial is is_coherent
 
 
 def test_noncoherent_example():
@@ -423,8 +419,8 @@ def test_lex_min_ge_starts_from_the_unit_rows(monkeypatch):
     assert is_coherent(order_from_weight((7, 10, 16, 20, 22), 5))
     assert not is_coherent(noncoherent_five())
     assert is_coherent(parse_order("n=0\n-\n"))
-    assert find_partial_weight(PartialTermOrder.from_weight((1, 1, 2))) == (1, 1, 2)
-    assert find_partial_weight(PartialTermOrder.trivial(3)) == (0, 0, 0)
+    assert find_weight(PartialTermOrder.from_weight((1, 1, 2))) == (1, 1, 2)
+    assert find_weight(PartialTermOrder.trivial(3)) == (0, 0, 0)
     assert calls == []
     assert verify_certificate(noncoherent_five(), noncoherence_certificate(noncoherent_five()))
     assert len(calls) == 1

@@ -66,6 +66,18 @@ def test_from_chain_refuses_a_chain_that_is_not_a_permutation():
             TermOrder.from_chain(2, chain)
 
 
+@pytest.mark.parametrize("n", [0, 1, 2])
+def test_from_chain_refuses_exactly_what_sorted_refuses(n):
+    # every sequence of length 2^n over -1..2^n + 1: 4, 25 and 2401 of them
+    size = 1 << n
+    for seq in itertools.product(range(-1, size + 2), repeat=size):
+        if sorted(seq) == list(range(size)):
+            assert TermOrder.from_chain(n, seq).chain == seq
+        else:
+            with pytest.raises(OrderError, match="not a permutation"):
+                TermOrder.from_chain(n, seq)
+
+
 def test_validate_catches_union_violation():
     # swap {1,3} and {2,3}: then 1 < 2 but 2,3 < 1,3
     chain = [0b000, 0b001, 0b010, 0b011, 0b100, 0b110, 0b101, 0b111]

@@ -95,6 +95,10 @@ def test_cli_import_loads_only_core():
     assert loaded_after("import booltermorders.cli") == {"booltermorders", "cli", "core"}
 
 
+def test_baues_import_loads_only_core():
+    assert loaded_after("import booltermorders.baues") == {"booltermorders", "core", "baues"}
+
+
 # without ``site`` (-S), which may import typing or pathlib itself through a .pth hook
 FOOTPRINT = (
     "import sys\n"
@@ -137,9 +141,9 @@ SUBCOMMAND_LAYERS = {
     "flips nc5.bto": {"flips"},
     "flip nc5.bto --pair 4<1,2": {"flips"},
     "flipgraph --n 3": {"flips", "enumeration"},
-    "validate nc5.bto": {"baues", "coherence", "lp"},
+    "validate nc5.bto": {"baues"},
     "baues nc5.bto": {"baues", "coherence", "lp"},
-    "localize nc5.bto": {"baues", "coherence", "lp", "omatroid"},
+    "localize nc5.bto": {"baues", "omatroid"},
 }
 
 

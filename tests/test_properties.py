@@ -21,11 +21,8 @@ from booltermorders.baues import (
     _extreme_rays,
     _positive_rays,
     coherent_above_only_trivial,
-    find_partial_weight,
     parse_partial,
     refines,
-    serialize_partial,
-    validate_partial,
 )
 from booltermorders.catalog import noncoherent_five, nonorder_localization_three, rigid_noncoherent_six
 from booltermorders.cli import main
@@ -856,7 +853,7 @@ def test_find_weight_induces_generic_order(weights):
 @given(st.lists(st.integers(1, 5), max_size=4))
 def test_find_partial_weight_induces_tied_levels(weights):
     p = PartialTermOrder.from_weight(weights)
-    assert PartialTermOrder.from_weight(find_partial_weight(p)).level == p.level
+    assert PartialTermOrder.from_weight(find_weight(p)).level == p.level
 
 
 def assert_program_matches_oracles(order):
@@ -931,7 +928,7 @@ def valid_weight_orders(draw):
 @example(PartialTermOrder.trivial(4))
 @example(noncoherent_five())
 def test_program_matches_oracles_on_valid_orders(order):
-    assert validate_partial(order).ok
+    assert validate(order).ok
     assert_program_matches_oracles(order)
 
 
@@ -962,7 +959,7 @@ def tied_level_arrays(draw, max_n=3, min_n=1):
 @example(PartialTermOrder(2, (0, 1, 2, 1)))  # {1}={1,2} without {-}={2}
 @example(PartialTermOrder(2, (0, 1, 1, 1)))  # a step {-}<{1} that became a tie
 def test_validate_partial_matches_quadruple_oracle(order):
-    report = validate_partial(order)
+    report = validate(order)
     assert report.ok == validate_partial_quadruples(order).ok
     assert len(report.violations) == (not report.ok)
     for triple in report.violations:
@@ -974,7 +971,7 @@ def test_validate_partial_matches_quadruple_oracle(order):
 def test_union_scan_matches_list_scan_on_ties(order):
     expected = union_violation_list_scan(order.level, order.n)
     assert union_violation(order.level, order.n) == expected
-    report = validate_partial(order)
+    report = validate(order)
     assert report.violations == ([] if expected is None else [expected])
     if order.n <= 4:
         assert report.ok == validate_partial_quadruples(order).ok
@@ -1104,7 +1101,7 @@ def test_parse_order_inverts_serialize(order):
 @given(st.lists(st.integers(1, 4), max_size=4))
 def test_parse_partial_inverts_serialize(weights):
     p = PartialTermOrder.from_weight(weights)
-    assert parse_partial(serialize_partial(p)).level == p.level
+    assert parse_partial(serialize_order(p)).level == p.level
 
 
 @st.composite
@@ -1128,7 +1125,7 @@ def test_one_writer_keeps_total_order_bytes(order):
 @example([1, 1, 2, 3, 3, 4])  # n = 6 with ties on many levels
 def test_one_writer_keeps_partial_order_bytes(weights):
     p = PartialTermOrder.from_weight(weights)
-    text = serialize_partial(p)
+    text = serialize_order(p)
     assert text == serialize_order(p) == serialize_partial_levels(p)
     assert parse_partial(text) == p
 
